@@ -14,17 +14,15 @@ A Fig. 8 relay gate then times the pre-index scan-per-endpoint relay
 analysis against the memoized criticality index on a reduced grid
 (must be >= 20x, with a warm-cache hit on a second graph instance)
 and merges the result into ``BENCH_fig8_relay.json``.  A campaign
-fork gate finally pits snapshot-forked fault evaluation against the
-full-run reference on an X12-scale graph campaign (byte-identical
-outcomes required, forked must be >= 5x faults/s, scalar baseline
-recorded) and merges the result into ``BENCH_x12_campaign_perf.json``,
-followed by a batch gate that requires fault-lane batched evaluation
-(the default path) to beat per-fault forking by >= 3x faults/s on the
-same campaign, again byte-identical and warm-cache-served.
-A soak gate runs a 10-second bounded soak against a batched campaign
-on the same config (streamed throughput must hold >= 0.8x of the batch
-rate) and an adaptive-vs-uniform arm on a fixed round budget (adaptive
-must end with a strictly narrower widest CI, with compatible overall
+lane gate then pits the campaign lane machine (the default fault
+evaluator) against the full-run reference on an X12-scale graph
+campaign (byte-identical outcomes required, the lane machine must be
+>= 15x faults/s, scalar baseline recorded) and merges the result into
+``BENCH_x12_campaign_perf.json``.  A soak gate runs a 10-second
+bounded soak against a batched campaign on the same config (streamed
+throughput must hold >= 0.8x of the batch rate) and an
+adaptive-vs-uniform arm on a fixed round budget (adaptive must end
+with a strictly narrower widest CI, with compatible overall
 estimates), writing ``BENCH_soak.json``.  An event-stream gate finally
 re-times the sweep with a live ``EventPublisher`` spooling to disk
 (min-of-repeats both arms; the stream must cost < 2% of sweep wall
@@ -82,22 +80,17 @@ DISPATCH_SPEEDUP_FLOOR = 3.0
 FIG8_PERCENTS = (10.0, 20.0)
 FIG8_SPEEDUP_FLOOR = 20.0
 
-#: Campaign fork gate: snapshot-forked evaluation must beat the
-#: full-run reference (every fault re-simulated from cycle 0) by at
-#: least this factor at X12 scale, with byte-identical outcomes.  The
-#: measured advantage is ~10x at 4000 cycles; the floor absorbs CI
-#: noise.  The scalar baseline is recorded (on a subset — it is two
-#: orders of magnitude slower) but not gated.
+#: Campaign lane gate: the lane machine (the default evaluator) must
+#: beat the full-run reference (every fault re-simulated from cycle 0)
+#: by at least this factor at X12 scale, with byte-identical outcomes.
+#: The floor is the product of the two gates it replaced (5x forking
+#: over full runs, 3x lane batching over forking); the committed runs
+#: of those gates implied ~32x.  The scalar baseline is recorded (on a
+#: subset — it is two orders of magnitude slower) but not gated.
 CAMPAIGN_CYCLES = 4_000
 CAMPAIGN_FAULTS = 200
 CAMPAIGN_SCALAR_FAULTS = 20
-CAMPAIGN_SPEEDUP_FLOOR = 5.0
-
-#: Batch gate: fault-lane batched evaluation (the default) must beat
-#: the per-fault forked evaluator by at least this factor on the same
-#: X12-scale campaign, with byte-identical outcomes and the second
-#: runner served from the warm trajectory cache.
-BATCH_SPEEDUP_FLOOR = 3.0
+CAMPAIGN_SPEEDUP_FLOOR = 15.0
 
 #: Soak gate: a 10-second bounded soak must sustain at least this
 #: fraction of the batched campaign's faults/s on the same config (the
@@ -324,24 +317,22 @@ def _fig8_relay_bench(now: str) -> tuple[dict | None, str | None]:
     return payload, None
 
 
-def _campaign_fork_bench(now: str) -> tuple[dict | None, str | None]:
-    """Snapshot-forking gate on an X12-scale graph campaign.
+def _campaign_lane_bench(now: str) -> tuple[dict | None, str | None]:
+    """Lane-machine gate on an X12-scale graph campaign.
 
     Evaluates the same seeded population three ways — scalar full runs
     (subset, recorded as the baseline), vectorized full runs (the
-    executable spec), and the forked evaluator (nearest background
-    snapshot + fault window only) — asserts the encoded outcomes are
-    byte-identical, then gates forked against full-run throughput.  A
-    second evaluator for the same config must be served from the warm
-    trajectory cache.  Returns ``(gate_payload, failure_message)``;
-    the payload is merged into ``BENCH_x12_campaign_perf.json``
-    alongside the campaign-shootout trajectory.
+    executable spec), and the default evaluator (``fault_runner``: the
+    lane machine, every fault as one lane starting idle at its
+    injection cycle) — asserts the encoded outcomes are byte-identical,
+    then gates the lane machine against full-run throughput.  Returns
+    ``(gate_payload, failure_message)``; the payload is merged into
+    ``BENCH_x12_campaign_perf.json`` alongside the campaign-shootout
+    trajectory.
     """
-    from repro.campaign import CampaignConfig
-    from repro.campaign.engine import (FULL_RUN_TARGETS,
-                                       _ForkedEvaluator)
+    from repro.campaign import CampaignConfig, fault_runner
+    from repro.campaign.engine import FULL_RUN_TARGETS, _LaneEvaluator
     from repro.exec.cache import encode_result
-    from repro.exec.worker import WARM
     from repro.kernels import SCALAR_ENV
 
     config = CampaignConfig(
@@ -370,31 +361,33 @@ def _campaign_fork_bench(now: str) -> tuple[dict | None, str | None]:
     full = [reference(config, spec)[0] for spec in population]
     full_wall = time.perf_counter() - start
 
-    before = WARM.counters()
+    # Construction (background rows, idle-start check) is a one-off per
+    # configuration, amortized over every chunk of a campaign: it is
+    # recorded, while the gate compares per-fault evaluation rates.
     start = time.perf_counter()
-    # Pinned to the per-fault forked evaluator: this gate measures the
-    # fork itself; the batch gate below measures lane batching on top.
-    runner = _ForkedEvaluator(config)
-    forked: list = [None] * len(population)
-    for index in runner.evaluation_order(population):
-        forked[index] = runner.evaluate(population[index])[0]
-    forked_wall = time.perf_counter() - start
-    _ForkedEvaluator(config)  # same config: must hit the warm cache
-    delta = WARM.stats_delta(before)
+    runner = fault_runner(config)
+    setup_wall = time.perf_counter() - start
+    start = time.perf_counter()
+    lane_outcomes, _work = runner.evaluate_chunk(population)
+    lane_wall = time.perf_counter() - start
+    if not isinstance(runner, _LaneEvaluator):
+        return None, (
+            "fault_runner did not return the lane evaluator "
+            f"(got {type(runner).__name__})")
 
     if encoded(scalar) != encoded(full[:CAMPAIGN_SCALAR_FAULTS]):
         return None, ("scalar and vectorized full-run campaign "
                       "outcomes diverged")
-    if encoded(full) != encoded(forked):
-        return None, ("snapshot-forked campaign outcomes diverged "
-                      "from the full-run reference")
+    if encoded(full) != encoded(lane_outcomes):
+        return None, ("lane-machine campaign outcomes diverged from "
+                      "the full-run reference")
 
-    speedup = full_wall / forked_wall if forked_wall > 0 else float("inf")
+    speedup = full_wall / lane_wall if lane_wall > 0 else float("inf")
     runs = []
     for label, wall, faults in (
             ("scalar_full_run", scalar_wall, CAMPAIGN_SCALAR_FAULTS),
             ("vector_full_run", full_wall, CAMPAIGN_FAULTS),
-            ("vector_forked", forked_wall, CAMPAIGN_FAULTS)):
+            ("vector_lanes", lane_wall, CAMPAIGN_FAULTS)):
         runs.append({
             "evaluation": label,
             "recorded_at": now,
@@ -407,113 +400,17 @@ def _campaign_fork_bench(now: str) -> tuple[dict | None, str | None]:
         "recorded_at": now,
         "target": config.target,
         "scheme": config.scheme,
-        "snapshot_stride": config.snapshot_stride,
         "speedup": round(speedup, 1),
         "speedup_floor": CAMPAIGN_SPEEDUP_FLOOR,
-        "warm_cache": delta,
+        "lane_setup_s": round(setup_wall, 4),
         "runs": runs,
     }
     if speedup < CAMPAIGN_SPEEDUP_FLOOR:
         return payload, (
-            f"forked campaign evaluation only {speedup:.1f}x faster "
-            f"than full runs (floor {CAMPAIGN_SPEEDUP_FLOOR:.0f}x; "
-            f"full {full_wall:.3f}s, forked {forked_wall:.3f}s)")
-    hits = delta.get("trajectory", [0, 0])[0]
-    if hits < 1:
-        return payload, (
-            "second evaluator did not hit the warm trajectory cache "
-            f"(warm stats delta: {delta})")
-    return payload, None
-
-
-def _campaign_batch_bench(now: str) -> tuple[dict | None, str | None]:
-    """Fault-lane batching gate on the same X12-scale campaign.
-
-    Times one chunk of the seeded population through the per-fault
-    forked evaluator and through the lane-batched default
-    (``fault_runner``), asserts the encoded outcome streams are
-    byte-identical, and gates batched against forked faults/s.  The
-    batched runner must actually be the batched evaluator, must batch
-    (not replay) the overwhelming share of its lanes, and a second
-    ``fault_runner`` call must be served from the warm trajectory
-    cache.  The payload lands next to the fork gate in
-    ``BENCH_x12_campaign_perf.json``.
-    """
-    from repro.campaign import CampaignConfig, fault_runner
-    from repro.campaign.engine import (_BatchedEvaluator,
-                                       _ForkedEvaluator)
-    from repro.exec.cache import encode_result
-    from repro.exec.worker import WARM
-
-    config = CampaignConfig(
-        target="graph", scheme="timber-ff",
-        num_faults=CAMPAIGN_FAULTS, num_cycles=CAMPAIGN_CYCLES)
-    population = list(config.iter_population())
-
-    def encoded(outcomes):
-        return json.dumps(encode_result(outcomes), sort_keys=True)
-
-    start = time.perf_counter()
-    forked_outcomes, _work = (
-        _ForkedEvaluator(config).evaluate_chunk(population))
-    forked_wall = time.perf_counter() - start
-
-    before = WARM.counters()
-    runner = fault_runner(config)
-    if not isinstance(runner, _BatchedEvaluator):
-        return None, (
-            "fault_runner did not return the batched evaluator "
-            f"(got {type(runner).__name__})")
-    start = time.perf_counter()
-    batched_outcomes, _work = runner.evaluate_chunk(population)
-    batched_wall = time.perf_counter() - start
-    fault_runner(config)  # same config again: must hit the warm cache
-    delta = WARM.stats_delta(before)
-
-    if encoded(batched_outcomes) != encoded(forked_outcomes):
-        return None, ("lane-batched campaign outcomes diverged from "
-                      "the forked evaluator")
-
-    speedup = (forked_wall / batched_wall if batched_wall > 0
-               else float("inf"))
-    runs = []
-    for label, wall in (("vector_forked", forked_wall),
-                        ("vector_batched", batched_wall)):
-        runs.append({
-            "evaluation": label,
-            "recorded_at": now,
-            "wall_time_s": round(wall, 4),
-            "faults": CAMPAIGN_FAULTS,
-            "num_cycles": CAMPAIGN_CYCLES,
-            "faults_per_second": round(CAMPAIGN_FAULTS / wall, 1),
-        })
-    payload = {
-        "recorded_at": now,
-        "target": config.target,
-        "scheme": config.scheme,
-        "snapshot_stride": config.snapshot_stride,
-        "speedup": round(speedup, 1),
-        "speedup_floor": BATCH_SPEEDUP_FLOOR,
-        "lanes_batched": runner.lanes_batched,
-        "lanes_replayed": runner.lanes_replayed,
-        "warm_cache": delta,
-        "runs": runs,
-    }
-    if runner.lanes_batched < runner.lanes_replayed:
-        return payload, (
-            f"batched evaluator replayed more lanes than it batched "
-            f"({runner.lanes_replayed} replayed vs "
-            f"{runner.lanes_batched} batched)")
-    if speedup < BATCH_SPEEDUP_FLOOR:
-        return payload, (
-            f"lane-batched evaluation only {speedup:.1f}x faster than "
-            f"per-fault forking (floor {BATCH_SPEEDUP_FLOOR:.0f}x; "
-            f"forked {forked_wall:.3f}s, batched {batched_wall:.3f}s)")
-    hits = delta.get("trajectory", [0, 0])[0]
-    if hits < 1:
-        return payload, (
-            "second batched runner did not hit the warm trajectory "
-            f"cache (warm stats delta: {delta})")
+            f"lane-machine campaign evaluation only {speedup:.1f}x "
+            f"faster than full runs (floor "
+            f"{CAMPAIGN_SPEEDUP_FLOOR:.0f}x; full {full_wall:.3f}s, "
+            f"lanes {lane_wall:.3f}s)")
     return payload, None
 
 
@@ -815,8 +712,8 @@ def main() -> int:
         return 1
     assert fig8 is not None
 
-    # -- campaign snapshot-forking gate ----------------------------------
-    campaign, campaign_failure = _campaign_fork_bench(now)
+    # -- campaign lane-machine gate --------------------------------------
+    campaign, campaign_failure = _campaign_lane_bench(now)
     if campaign is not None:
         campaign_path = REPO_ROOT / "BENCH_x12_campaign_perf.json"
         if campaign_path.exists():
@@ -825,27 +722,16 @@ def main() -> int:
         else:
             campaign_doc = {"bench": "x12_campaign_perf",
                             "schema_version": 1, "runs": []}
-        campaign_doc["fork_gate"] = campaign
+        # The lane gate supersedes the retired fork and batch gates.
+        campaign_doc.pop("fork_gate", None)
+        campaign_doc.pop("batch_gate", None)
+        campaign_doc["lane_gate"] = campaign
         campaign_path.write_text(
             json.dumps(campaign_doc, indent=2) + "\n", encoding="utf-8")
     if campaign_failure is not None:
         print(f"FAIL: {campaign_failure}")
         return 1
     assert campaign is not None
-
-    # -- campaign fault-lane batching gate -------------------------------
-    batch, batch_failure = _campaign_batch_bench(now)
-    if batch is not None:
-        campaign_path = REPO_ROOT / "BENCH_x12_campaign_perf.json"
-        campaign_doc = json.loads(
-            campaign_path.read_text(encoding="utf-8"))
-        campaign_doc["batch_gate"] = batch
-        campaign_path.write_text(
-            json.dumps(campaign_doc, indent=2) + "\n", encoding="utf-8")
-    if batch_failure is not None:
-        print(f"FAIL: {batch_failure}")
-        return 1
-    assert batch is not None
 
     # -- soak throughput + adaptive-sampling gate ------------------------
     soak, soak_failure = _soak_bench(now)
@@ -888,23 +774,15 @@ def main() -> int:
     print(f"  fig8 relay: naive {fig8['naive_wall_s']:.3f}s -> indexed "
           f"{fig8['indexed_wall_s']:.3f}s ({fig8['speedup']:.0f}x, warm "
           f"repeat {fig8['indexed_warm_wall_s'] * 1e3:.1f}ms)")
-    forked_run = next(r for r in campaign["runs"]
-                      if r["evaluation"] == "vector_forked")
+    lane_run = next(r for r in campaign["runs"]
+                    if r["evaluation"] == "vector_lanes")
     full_run = next(r for r in campaign["runs"]
                     if r["evaluation"] == "vector_full_run")
     print(f"  campaign: {full_run['faults_per_second']:.0f} -> "
-          f"{forked_run['faults_per_second']:.0f} faults/s forked "
-          f"({campaign['speedup']:.1f}x at {CAMPAIGN_CYCLES} cycles, "
-          "outcomes byte-identical)")
-    batched_run = next(r for r in batch["runs"]
-                       if r["evaluation"] == "vector_batched")
-    batch_forked_run = next(r for r in batch["runs"]
-                            if r["evaluation"] == "vector_forked")
-    print(f"  lane batching: {batch_forked_run['faults_per_second']:.0f}"
-          f" -> {batched_run['faults_per_second']:.0f} faults/s batched "
-          f"({batch['speedup']:.1f}x, floor {BATCH_SPEEDUP_FLOOR:.0f}x; "
-          f"{batch['lanes_batched']} lanes batched, "
-          f"{batch['lanes_replayed']} replayed)")
+          f"{lane_run['faults_per_second']:.0f} faults/s on the lane "
+          f"machine ({campaign['speedup']:.1f}x at {CAMPAIGN_CYCLES} "
+          f"cycles, floor {CAMPAIGN_SPEEDUP_FLOOR:.0f}x, outcomes "
+          "byte-identical)")
     throughput = soak["throughput"]
     gate = soak["adaptive_gate"]
     print(f"  soak: {throughput['batch_faults_per_second']:.0f} f/s "

@@ -16,11 +16,9 @@ from repro.campaign.engine import (
     FULL_RUN_TARGETS,
     CampaignConfig,
     CampaignResult,
-    batching_disabled,
     campaign_chunk_task,
     evaluate_fault,
     fault_runner,
-    full_runs_forced,
     run_campaign,
 )
 from repro.campaign.faults import (
@@ -30,12 +28,6 @@ from repro.campaign.faults import (
     draw_spec,
     generate_population,
     iter_population,
-)
-from repro.campaign.trajectory import (
-    BackgroundTrajectory,
-    build_trajectory,
-    fork_window_groups,
-    trajectory_for,
 )
 from repro.campaign.outcomes import (
     BENIGN,
@@ -62,11 +54,9 @@ __all__ = [
     "FULL_RUN_TARGETS",
     "CampaignConfig",
     "CampaignResult",
-    "batching_disabled",
     "campaign_chunk_task",
     "evaluate_fault",
     "fault_runner",
-    "full_runs_forced",
     "run_campaign",
     "FAULT_KINDS",
     "FaultOverlay",
@@ -74,10 +64,6 @@ __all__ = [
     "draw_spec",
     "generate_population",
     "iter_population",
-    "BackgroundTrajectory",
-    "build_trajectory",
-    "fork_window_groups",
-    "trajectory_for",
     "BENIGN",
     "ESCAPED",
     "FALSE_POSITIVE",

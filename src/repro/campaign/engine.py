@@ -27,24 +27,23 @@ is bit-identical between the scalar and vector kernel paths because
 injected cycles always replay through the scalar state machine (see
 :mod:`repro.pipeline.hooks`).
 
-Cycle-level targets evaluate faults by **snapshot forking**: the
-fault-free background trajectory is simulated once per configuration
-(:mod:`repro.campaign.trajectory`, warm-cache kind ``"trajectory"``),
-and each fault restores the nearest stride snapshot at or before its
-injection cycle and simulates only ``[snapshot, window_end]`` instead
-of the whole prefix from cycle 0 — O(window) per fault instead of
-O(num_cycles).  The full-run evaluators are preserved as an executable
-spec (``full_run_pipeline_fault`` / ``full_run_graph_fault``), pinned
-against the forked path by hypothesis properties and a golden campaign
-capture; ``REPRO_CAMPAIGN_FULL_RUNS=1`` forces them everywhere.  The
-netlist target has no cycle-level carried-state snapshot and always
-takes the full-run path (its stimulus is rebuilt per fault anyway).
+Cycle-level targets evaluate faults on the **lane machine**
+(:mod:`repro.kernels.fault_batch`): the fault-free background rows are
+computed once per configuration (warm-cache kind ``"trajectory"``), and
+a whole chunk of faults advances as one numpy batch, each lane over
+only its own window ``[spec.cycle, window_end]`` starting from idle
+carried state.  The idle start is proven once per evaluator: campaign
+backgrounds must have no positive idle-state lateness, so no state
+ever forms before a fault lands.  The full-run evaluators are preserved
+as the single executable spec (``FULL_RUN_TARGETS``), pinned against
+the lane machine by hypothesis properties and golden campaign
+captures; they serve the netlist target and scalar-kernel runs
+(``REPRO_SCALAR_KERNELS=1``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
 import typing
 
@@ -55,12 +54,6 @@ from repro.campaign.faults import (
     FaultOverlay,
     FaultSpec,
     iter_population,
-)
-from repro.campaign.trajectory import (
-    build_trajectory,
-    fork_window_groups,
-    trajectory_for,
-    trajectory_rows_for,
 )
 from repro.campaign.outcomes import (
     CaptureEvent,
@@ -86,28 +79,6 @@ _TARGETS = ("pipeline", "graph", "netlist")
 #: Kinds with an event-driven (pulse/transition) realisation.
 _NETLIST_KINDS = ("seu", "delay")
 
-#: Environment variable forcing the full-run reference evaluators
-#: (fresh simulation from cycle 0 per fault) instead of snapshot
-#: forking — the executable spec the forked path is pinned against.
-FULL_RUNS_ENV = "REPRO_CAMPAIGN_FULL_RUNS"
-
-
-def full_runs_forced() -> bool:
-    """Is the full-run reference path forced via the environment?"""
-    return os.environ.get(FULL_RUNS_ENV, "") not in ("", "0")
-
-
-#: Environment variable disabling fault-lane batching
-#: (``REPRO_CAMPAIGN_BATCH=0``): campaigns evaluate per fault through
-#: the forked path the batch is pinned against.  ``FULL_RUNS_ENV``
-#: disables batching too — the full-run reference stays the spec.
-BATCH_ENV = "REPRO_CAMPAIGN_BATCH"
-
-
-def batching_disabled() -> bool:
-    """Is fault-lane batching disabled via the environment?"""
-    return os.environ.get(BATCH_ENV, "1") == "0"
-
 # Per-fault observability.  The outcome counter is semantic (classes
 # are a pure function of the seeded population and the simulators);
 # the latency histogram is wall-clock, hence the ``_seconds`` suffix
@@ -121,18 +92,6 @@ _OBS_FAULT_SECONDS = obs.REGISTRY.histogram(
     "Wall time to simulate and classify one fault",
     buckets=(0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
              0.25, 0.5, 1.0)).labels()
-# Snapshot-fork effectiveness: prefix cycles the fork skipped (the
-# work the full-run path would have re-simulated) and the length of
-# each actually-simulated fork window.
-_OBS_PREFIX_SAVED = obs.REGISTRY.counter(
-    "repro_campaign_prefix_cycles_saved_total",
-    "Fault-free prefix cycles skipped by forking from a trajectory "
-    "snapshot").labels()
-_OBS_FORK_WINDOW = obs.REGISTRY.histogram(
-    "repro_campaign_fork_window_cycles",
-    "Cycles simulated per snapshot-forked fault evaluation",
-    buckets=(8, 16, 32, 64, 128, 256, 512, 1024, 2048)).labels()
-
 
 @dataclasses.dataclass(frozen=True)
 class CampaignConfig:
@@ -156,10 +115,6 @@ class CampaignConfig:
     kinds: tuple[str, ...] = FAULT_KINDS
     magnitude_range_ps: tuple[int, int] = (20, 220)
     relay_horizon: int = 4
-    #: Cycle distance between the background trajectory's snapshots.
-    #: Smaller strides shorten fork windows but cost more snapshot
-    #: memory; the default keeps windows a few hundred cycles.
-    snapshot_stride: int = 256
 
     def __post_init__(self) -> None:
         if self.target not in _TARGETS:
@@ -173,8 +128,6 @@ class CampaignConfig:
             raise ConfigurationError("need at least two stages")
         if self.relay_horizon < 1:
             raise ConfigurationError("relay_horizon must be >= 1")
-        if self.snapshot_stride < 1:
-            raise ConfigurationError("snapshot_stride must be >= 1")
         if self.target == "pipeline":
             try:
                 architecture_by_key(self.scheme)
@@ -241,11 +194,11 @@ class CampaignConfig:
         return list(self.iter_population())
 
     def background_params(self) -> dict:
-        """Everything the fault-free background trajectory depends on.
+        """Everything the fault-free background rows depend on.
 
-        The content-hash key of warm-cache kind ``"trajectory"`` (and
-        the on-disk trajectory cache) — any change to these parameters
-        hashes to a new key, so stale trajectories can never alias.
+        The content-hash key of warm-cache kind ``"trajectory"`` — any
+        change to these parameters hashes to a new key, so stale rows
+        can never alias.
         Fault and chunking parameters are deliberately absent: the
         background is fault-free and shared by the whole population.
         """
@@ -258,7 +211,6 @@ class CampaignConfig:
             "num_stages": self.num_stages,
             "sensitization_prob": self.sensitization_prob,
             "seed": self.seed,
-            "snapshot_stride": self.snapshot_stride,
         }
 
     # -- (de)serialisation ----------------------------------------------
@@ -476,9 +428,9 @@ def full_run_netlist_fault(config: CampaignConfig,
     return outcome_from_events(spec, events), sim.events_processed
 
 
-#: The preserved full-run evaluators — the executable spec the
-#: snapshot-forked path is pinned against (hypothesis properties and a
-#: golden campaign capture compare the two streams byte-for-byte).
+#: The preserved full-run evaluators — the executable spec the lane
+#: machine is pinned against (hypothesis properties and golden campaign
+#: captures compare the two streams byte-for-byte).
 FULL_RUN_TARGETS = {
     "pipeline": full_run_pipeline_fault,
     "graph": full_run_graph_fault,
@@ -487,37 +439,30 @@ FULL_RUN_TARGETS = {
 
 
 class _EvaluatorBase:
-    """Shared chunk walk: visit, classify, scatter back.
+    """Shared chunk interface: outcomes in population order.
 
     ``evaluate_chunk`` is the one entry point chunk-shaped callers
-    (campaign tasks, soak rounds) use, so every evaluator — including
-    the group-batched one, which overrides it — produces outcomes in
-    population order with identical per-fault obs accounting.
+    (campaign tasks, soak rounds) use, so both evaluators produce
+    outcomes in population order with identical per-fault obs
+    accounting.
     """
 
-    forked = False
-    batched = False
     config: "CampaignConfig"
 
     def evaluate(self, spec: FaultSpec) -> tuple[FaultOutcome, int]:
         raise NotImplementedError
 
-    def evaluation_order(
-            self, specs: typing.Sequence[FaultSpec],
-    ) -> "typing.Sequence[int]":
-        return range(len(specs))
-
     def evaluate_chunk(
             self, specs: typing.Sequence[FaultSpec],
     ) -> "tuple[list[FaultOutcome], int]":
         """Classify ``specs``; outcomes in population order + work."""
-        outcomes: list[FaultOutcome | None] = [None] * len(specs)
+        outcomes: list[FaultOutcome] = []
         work = 0
-        for index in self.evaluation_order(specs):
-            outcome, units = _classify(self.config, self, specs[index])
-            outcomes[index] = outcome
+        for spec in specs:
+            outcome, units = _classify(self.config, self, spec)
+            outcomes.append(outcome)
             work += units
-        return typing.cast("list[FaultOutcome]", outcomes), work
+        return outcomes, work
 
 
 class _FullRunEvaluator(_EvaluatorBase):
@@ -531,141 +476,87 @@ class _FullRunEvaluator(_EvaluatorBase):
         return self._fn(self.config, spec)
 
 
-class _ForkedEvaluator(_EvaluatorBase):
-    """Per-fault evaluation forked from the background trajectory.
+def _background_rows(config: CampaignConfig, sim: typing.Any,
+                     machine: typing.Any) -> "tuple[typing.Any, int]":
+    """``(rows, idle lateness)`` of ``config``'s fault-free background.
 
-    One long-lived simulation per evaluator: each fault swaps in its
-    own overlay and observer (plain attributes on the simulators),
-    restores the nearest snapshot at or before ``spec.cycle``, and
-    simulates only ``[snapshot, window_end]``.  The overlay adds zero
-    delay before ``spec.cycle`` and every draw is addressed by
-    absolute cycle, so the captured event stream is byte-identical to
-    the full-run reference's.
+    Served from the warm cache, content-addressed by
+    :meth:`CampaignConfig.background_params`, so every chunk of every
+    campaign sharing a background — and soak rounds — reuses one
+    immutable row set (and its one idle-lateness scan) per worker.
+    """
+    from repro.exec.cache import stable_key
+    from repro.exec.worker import WARM
+
+    def build() -> "tuple[typing.Any, int]":
+        rows = sim.background_rows(config.num_cycles)
+        return rows, machine.idle_lateness_ps(rows)
+
+    key = stable_key("campaign-trajectory-rows", config.background_params())
+    return WARM.get_or_build("trajectory", key, build)
+
+
+class _LaneEvaluator(_EvaluatorBase):
+    """Fault-lane batched evaluation on the shared background rows.
+
+    Every fault of a chunk becomes one lane of a single
+    :mod:`repro.kernels.fault_batch` machine call: per-lane disturbance
+    deltas on the shared background rows, a vectorized
+    borrow/select/relay machine advancing every lane per cycle, and
+    per-lane outcome folds feeding :class:`FaultOutcome` directly.
+
+    Each lane starts idle at its injection cycle.  The only state a
+    cycle-level simulator carries is borrowed time and relay selects,
+    and both form only after a late capture; construction checks that
+    the background has no positive idle-state lateness, so (by
+    induction from the idle cycle 0) the full run reaches every fault's
+    injection cycle idle, and the lane reproduces it exactly.
     """
 
-    forked = True
-
     def __init__(self, config: CampaignConfig) -> None:
-        self.config = config
-        self.sites = config.sites()
-        self.site_names = (self.sites if config.target == "pipeline"
-                           else None)
-        build = _SIM_BUILDERS[config.target]
-        self.sim = build(config)
-        self.trajectory = trajectory_for(
-            config.background_params(),
-            lambda: build_trajectory(
-                lambda: build(config),
-                num_cycles=config.num_cycles,
-                stride=config.snapshot_stride,
-            ),
-        )
-        # Shared fault-free background rows (delay/sensitization plus
-        # the screen's verdicts) so forks index precomputed arrays
-        # instead of re-running the block kernel per fault.  Scalar
-        # mode skips them: the reference path stays row-free.
-        from repro import kernels
-        self.rows = (trajectory_rows_for(
-            config.background_params(),
-            lambda: self.sim.background_rows(config.num_cycles))
-            if kernels.vectorized_enabled() else None)
-
-    def evaluate(self, spec: FaultSpec) -> tuple[FaultOutcome, int]:
-        config = self.config
-        end = _window_end(config, spec)
-        start, state = self.trajectory.fork_point(spec.cycle)
-        events: list[CaptureEvent] = []
-        sim = self.sim
-        sim.faults = FaultOverlay([spec], self.sites)
-        sim.capture_observer = _collecting_observer(
-            config, spec, events, self.site_names)
-        sim.restore(state)
-        result = sim.run(end + 1, start_cycle=start, rows=self.rows)
-        if obs.REGISTRY.enabled:
-            _OBS_PREFIX_SAVED.inc(start)
-            _OBS_FORK_WINDOW.observe(end + 1 - start)
-        units = (result.captures if config.target == "pipeline"
-                 else result.cycles * result.num_ffs)
-        return outcome_from_events(spec, events), units
-
-    def evaluation_order(
-            self, specs: typing.Sequence[FaultSpec]) -> list[int]:
-        """Visit faults grouped by fork snapshot (chunk-local).
-
-        Faults sharing a snapshot stride run back to back so restores
-        stay cache-warm; ties keep population order.  The caller
-        scatters results back to population positions, so the visible
-        outcome stream is order-independent.
-        """
-        stride = self.trajectory.stride
-        return sorted(range(len(specs)),
-                      key=lambda i: (specs[i].cycle // stride, i))
-
-
-class _BatchedEvaluator(_ForkedEvaluator):
-    """Fault-lane batched evaluation over shared fork windows.
-
-    Faults sharing a fork snapshot are near-identical perturbations of
-    one background, so :func:`fork_window_groups` decides *eligibility*
-    per shared snapshot (idle fork state, quiet prefix) and every lane
-    that qualifies — across all of a chunk's groups — runs as one numpy
-    batch: per-lane disturbance deltas on the shared background rows, a
-    vectorized borrow/select/relay machine advancing every lane per
-    cycle (:mod:`repro.kernels.fault_batch`), per-lane outcome folds
-    feeding :class:`FaultOutcome` directly.  Lanes carry absolute cycle
-    indices into the one background, so merging groups into a single
-    machine call changes arithmetic batch shape only, never lane
-    semantics — and amortizes the per-call setup that dominates at
-    realistic stride/window sizes.
-
-    A lane batches only when equivalence to the forked path is provable
-    — idle fork snapshot, background quiet up to the injection cycle,
-    window within the lane cap, and a capture policy with pure array
-    semantics.  Everything else (and every lane, when the machine
-    cannot be built at all) drops to :meth:`_ForkedEvaluator.evaluate`,
-    the preserved executable spec.  ``lanes_batched``/``lanes_replayed``
-    mirror the obs lane counters for in-process callers.
-    """
-
-    batched = True
-
-    def __init__(self, config: CampaignConfig) -> None:
-        super().__init__(config)
         from repro.kernels import fault_batch
 
-        self._fault_batch = fault_batch
-        self.machine = (fault_batch.pipeline_machine(self.sim)
-                        if config.target == "pipeline"
-                        else fault_batch.graph_machine(self.sim))
-        self._units_per_cycle = (len(self.sim.stages)
-                                 if config.target == "pipeline"
-                                 else self.sim.graph.num_ffs)
-        self.lanes_batched = 0
-        self.lanes_replayed = 0
+        self.config = config
+        self.sites = config.sites()
+        self._make_lane = fault_batch.Lane
+        sim = _SIM_BUILDERS[config.target](config)
+        if config.target == "pipeline":
+            self.machine = fault_batch.pipeline_machine(sim)
+            self._units_per_cycle = len(sim.stages)
+        else:
+            self.machine = fault_batch.graph_machine(sim)
+            self._units_per_cycle = sim.graph.num_ffs
+        self.rows, lateness = _background_rows(config, sim, self.machine)
+        if lateness > 0:
+            raise ConfigurationError(
+                f"campaign background is late by {lateness} ps while "
+                f"idle; lanes cannot start from idle state")
         #: (kind, site, span) -> machine column tuple.  The affected
         #: sites are a pure function of those three spec fields (plus
         #: the fixed site list), and populations draw from a handful of
         #: combinations — memoizing skips the per-lane name lookups.
         self._lane_cols: dict = {}
 
-    def _lane_columns(self, spec: FaultSpec) -> "tuple[int, ...]":
+    def _lane(self, spec: FaultSpec) -> typing.Any:
         key = (spec.kind, spec.site, spec.span)
         cols = self._lane_cols.get(key)
         if cols is None:
             cols = self._lane_cols[key] = self.machine.lane_columns(
                 spec.sites_affected(self.sites))
-        return cols
+        return self._make_lane(
+            cycle=spec.cycle,
+            steps=_window_end(self.config, spec) + 1 - spec.cycle,
+            duration=spec.duration_cycles,
+            magnitude_ps=spec.magnitude_ps, cols=cols)
 
     def evaluate(self, spec: FaultSpec) -> tuple[FaultOutcome, int]:
-        return self._evaluate_merged([spec], [[0]])[0]
+        return self._evaluate_lanes([spec])[0]
 
     def evaluate_chunk(
             self, specs: typing.Sequence[FaultSpec],
     ) -> "tuple[list[FaultOutcome], int]":
         started = time.perf_counter()
-        results = self._evaluate_merged(
-            specs, fork_window_groups(
-                self.trajectory, [spec.cycle for spec in specs]))
+        results = self._evaluate_lanes(specs)
         if obs.REGISTRY.enabled and specs:
             # The chunk shares one wall clock; per-fault latency is the
             # amortized share.  The outcome counter increments exactly
@@ -681,124 +572,48 @@ class _BatchedEvaluator(_ForkedEvaluator):
         return [outcome for outcome, _ in results], sum(
             units for _, units in results)
 
-    def _evaluate_merged(
+    def _evaluate_lanes(
             self, specs: typing.Sequence[FaultSpec],
-            groups: "typing.Iterable[typing.Sequence[int]]",
     ) -> "list[tuple[FaultOutcome, int]]":
-        """Batch every eligible lane across ``groups`` in one machine call.
-
-        Eligibility is judged per group (shared fork snapshot, quiet
-        prefix) but evaluation merges all eligible lanes into a single
-        :meth:`evaluate` on the lane machine: each lane addresses the
-        one shared background by absolute cycle, so group identity
-        affects only which lanes qualify, never what a lane computes —
-        and one big batch amortizes per-call setup that per-group
-        batches pay once per snapshot.
-        """
-        machine = self.machine
-        results: list[tuple[FaultOutcome, int] | None] = (
-            [None] * len(specs))
-        lanes: list = []
-        lane_meta: list[tuple[int, int, int]] = []
-        replay: list[int] = []
-        for group in groups:
-            self._plan_group(specs, group, lanes, lane_meta, replay)
-        if lanes:
-            lane_outcomes = machine.evaluate(lanes, self.rows)
-            obs_on = obs.REGISTRY.enabled
-            for (index, start, end), lane_outcome in zip(lane_meta,
-                                                         lane_outcomes):
-                spec = specs[index]
-                if obs_on:
-                    _OBS_PREFIX_SAVED.inc(start)
-                    _OBS_FORK_WINDOW.observe(end + 1 - start)
-                outcome = FaultOutcome(
-                    fault_id=spec.fault_id,
-                    kind=spec.kind,
-                    site=spec.site,
-                    cycle=spec.cycle,
-                    magnitude_ps=spec.magnitude_ps,
-                    classification=lane_outcome.classification,
-                    events=lane_outcome.events,
-                    worst_lateness_ps=lane_outcome.worst_lateness_ps,
-                    max_borrowed_intervals=(
-                        lane_outcome.max_borrowed_intervals),
-                )
-                results[index] = (
-                    outcome, (end + 1 - start) * self._units_per_cycle)
-            self.lanes_batched += len(lanes)
-        if replay:
-            if machine is not None:
-                machine.note_replayed(len(replay))
-            self.lanes_replayed += len(replay)
-            for index in replay:
-                results[index] = super().evaluate(specs[index])
-        return typing.cast("list[tuple[FaultOutcome, int]]", results)
-
-    def _plan_group(self, specs: typing.Sequence[FaultSpec],
-                    group: typing.Sequence[int], lanes: list,
-                    lane_meta: "list[tuple[int, int, int]]",
-                    replay: "list[int]") -> None:
-        """Sort one shared-fork-window group into lanes vs. replays."""
-        import numpy as np
-
-        fault_batch = self._fault_batch
-        machine = self.machine
-        start, state = self.trajectory.fork_point(specs[group[0]].cycle)
-        if (machine is None or self.rows is None
-                or not machine.state_is_idle(state)):
-            replay.extend(group)
-            return
-        # A lane is provably equivalent to its forked replay when the
-        # background screen shows nothing interesting between the fork
-        # start and its injection cycle: the fork enters the window
-        # idle, with zero prior events or counter increments.
-        # Interesting background cycles *inside* the window are fine —
-        # the machine models the real rows and those events belong to
-        # the outcome on every path.
-        interesting = self.rows[-1]
-        max_cycle = max(specs[index].cycle for index in group)
-        ahead = np.flatnonzero(interesting[start:max_cycle])
-        quiet_until = (start + int(ahead[0]) if ahead.size
-                       else max_cycle)
-        for index in group:
-            spec = specs[index]
-            end = _window_end(self.config, spec)
-            steps = end + 1 - spec.cycle
-            if (spec.cycle <= quiet_until
-                    and steps <= fault_batch.MAX_LANE_WINDOW):
-                lane_meta.append((index, start, end))
-                lanes.append(fault_batch.Lane(
-                    cycle=spec.cycle,
-                    steps=steps,
-                    duration=spec.duration_cycles,
-                    magnitude_ps=spec.magnitude_ps,
-                    cols=self._lane_columns(spec),
-                ))
-            else:
-                replay.append(index)
+        """One machine call over ``specs``: (outcome, work) per fault."""
+        if not specs:
+            return []
+        lanes = [self._lane(spec) for spec in specs]
+        results = []
+        for spec, lane, lane_outcome in zip(
+                specs, lanes, self.machine.evaluate(lanes, self.rows)):
+            outcome = FaultOutcome(
+                fault_id=spec.fault_id,
+                kind=spec.kind,
+                site=spec.site,
+                cycle=spec.cycle,
+                magnitude_ps=spec.magnitude_ps,
+                classification=lane_outcome.classification,
+                events=lane_outcome.events,
+                worst_lateness_ps=lane_outcome.worst_lateness_ps,
+                max_borrowed_intervals=lane_outcome.max_borrowed_intervals,
+            )
+            results.append((outcome, lane.steps * self._units_per_cycle))
+        return results
 
 
 def fault_runner(config: CampaignConfig) -> "_EvaluatorBase":
     """The per-fault evaluator for ``config``.
 
-    Cycle-level targets fork from the shared background trajectory —
-    lane-batched over shared fork windows when the vector kernels are
-    on and ``REPRO_CAMPAIGN_BATCH`` is not ``0``.  The netlist target —
-    and everything when ``REPRO_CAMPAIGN_FULL_RUNS`` is set — takes
-    the preserved full-run reference path behind the same interface
-    (full runs also disable batching: the reference stays the spec).
+    Cycle-level targets run on the lane machine.  The netlist target —
+    and everything when the vector kernels are off
+    (``REPRO_SCALAR_KERNELS=1`` or no numpy) — takes the full-run
+    reference path behind the same interface.
     """
-    if config.target == "netlist" or full_runs_forced():
-        return _FullRunEvaluator(config)
     from repro import kernels
-    if kernels.vectorized_enabled() and not batching_disabled():
-        return _BatchedEvaluator(config)
-    return _ForkedEvaluator(config)
+
+    if config.target == "netlist" or not kernels.vectorized_enabled():
+        return _FullRunEvaluator(config)
+    return _LaneEvaluator(config)
 
 
 def _classify(config: CampaignConfig,
-              runner: "_FullRunEvaluator | _ForkedEvaluator",
+              runner: "_EvaluatorBase",
               spec: FaultSpec) -> tuple[FaultOutcome, int]:
     """Evaluate one fault through ``runner`` with obs accounting."""
     if not obs.REGISTRY.enabled:
@@ -814,7 +629,7 @@ def _classify(config: CampaignConfig,
 
 
 def evaluate_fault(config: CampaignConfig,
-                   runner: "_FullRunEvaluator | _ForkedEvaluator",
+                   runner: "_EvaluatorBase",
                    spec: FaultSpec) -> tuple[FaultOutcome, int]:
     """Classify one fault through an existing evaluator (obs included).
 
@@ -866,10 +681,8 @@ def _warm_population_slice(config: CampaignConfig, start: int,
 def campaign_chunk_task(params: dict) -> TaskPayload:
     """Sweep task: classify one contiguous chunk of the population.
 
-    Forked evaluators visit the chunk grouped by snapshot stride (see
-    :meth:`_ForkedEvaluator.evaluation_order`) and scatter results
-    back, so the payload's outcome order always matches the population
-    order regardless of evaluation path.
+    The payload's outcomes are in population order on every
+    evaluation path.
     """
     config = CampaignConfig.from_params(params["config"])
     specs = _warm_population_slice(config, params["start"],

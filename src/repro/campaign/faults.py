@@ -26,7 +26,6 @@ scalar replay path.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import typing
 
@@ -256,16 +255,6 @@ class FaultOverlay:
 
     def active_cycles(self) -> list[int]:
         return list(self._active)
-
-    def active_cycles_between(self, start: int, stop: int) -> list[int]:
-        """Active cycles in ``[start, stop)``, for window replays.
-
-        Fork windows for late faults mostly contain *no* active cycle;
-        answering that in O(log n) lets ``_run_rows`` skip its
-        copy-and-scan of the interesting screen entirely."""
-        lo = bisect.bisect_left(self._active, start)
-        hi = bisect.bisect_left(self._active, stop, lo)
-        return self._active[lo:hi]
 
     def active_mask(self, cycles):  # noqa: ANN001 — numpy-optional
         import numpy as np

@@ -483,17 +483,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     reports = []
     config = None
     summary: dict | None = None
-    if args.cache_dir and not args.no_cache:
-        # Persist background trajectories next to the result cache so
-        # a later run (or another worker pool) forks from disk instead
-        # of re-simulating; workers inherit the setting.
-        import os
-
-        from repro.campaign.trajectory import TRAJECTORY_CACHE_ENV
-
-        os.environ.setdefault(
-            TRAJECTORY_CACHE_ENV,
-            os.path.join(args.cache_dir, "trajectories"))
     # One runner — hence one warm worker pool and one adaptive sizer —
     # shared across every scheme phase; only the checkpoint is
     # per-scheme, so each phase stays independently resumable.
@@ -517,7 +506,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                         checking_percent=args.checking,
                         num_stages=args.stages, seed=args.seed,
                         faults_per_task=args.chunk,
-                        snapshot_stride=args.snapshot_stride,
                     )
                 except ConfigurationError as error:
                     print(f"error: {error}", file=sys.stderr)
@@ -579,14 +567,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     from repro.soak import SoakConfig, run_soak
 
     observing = _obs_begin(args)
-    if args.cache_dir and not args.no_cache:
-        import os
-
-        from repro.campaign.trajectory import TRAJECTORY_CACHE_ENV
-
-        os.environ.setdefault(
-            TRAJECTORY_CACHE_ENV,
-            os.path.join(args.cache_dir, "trajectories"))
     try:
         campaign = CampaignConfig(
             target=args.target, scheme=args.scheme,
@@ -594,7 +574,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             num_cycles=args.cycles, checking_percent=args.checking,
             num_stages=args.stages, seed=args.seed,
             faults_per_task=args.chunk,
-            snapshot_stride=args.snapshot_stride,
         )
         soak = SoakConfig(
             campaign=campaign,
@@ -971,11 +950,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="campaign root seed (default 2010)")
     camp.add_argument("--chunk", type=_positive_int, default=25,
                       help="faults per sweep task (default 25)")
-    camp.add_argument("--snapshot-stride", type=_positive_int,
-                      default=256,
-                      help="cycles between background-trajectory "
-                           "snapshots for fork-per-fault evaluation "
-                           "(default 256)")
     add_exec_flags(camp)
     camp.add_argument("--out", metavar="PATH",
                       help="write the BENCH_campaign.json artefact")
@@ -1000,10 +974,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="soak root seed (default 2010)")
     soak.add_argument("--chunk", type=_positive_int, default=25,
                       help="faults per sweep task (default 25)")
-    soak.add_argument("--snapshot-stride", type=_positive_int,
-                      default=256,
-                      help="cycles between background-trajectory "
-                           "snapshots (default 256)")
     soak.add_argument("--faults-per-round", type=_positive_int,
                       default=200, metavar="N",
                       help="draws per adaptive round (default 200)")

@@ -24,10 +24,10 @@ initializer.  Hit/miss counters are kept per *kind* (``task-func``,
 ``compiled``, ``variability``, ``population``, ``criticality``,
 ``trajectory``) so the exec layer can ship per-batch deltas back to
 the parent's telemetry.  ``trajectory`` entries — fault-free campaign
-background trajectories with their stride snapshots — follow the same
-invalidation discipline as ``criticality``: the key is a content hash
-of everything the trajectory depends on, so a changed configuration
-can never alias a stale entry.
+background rows — follow the same invalidation discipline as
+``criticality``: the key is a content hash of everything the
+background depends on, so a changed configuration can never alias a
+stale entry.
 """
 
 from __future__ import annotations

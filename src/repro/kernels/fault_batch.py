@@ -1,34 +1,26 @@
-"""Fault-lane batched window evaluation for snapshot-forked campaigns.
+"""Fault-lane batched window evaluation for fault campaigns.
 
-Snapshot forking (:mod:`repro.campaign.trajectory`) made each fault's
-cost O(window); this module removes the remaining per-fault Python
-walk.  Faults that share a fork window are near-identical perturbations
-of one shared fault-free background, so a whole group is evaluated as
+Every fault of a campaign is a small perturbation of one shared
+fault-free background, so a whole chunk of faults is evaluated as
 **one numpy batch with a lane axis**: per-lane ``(lanes, window_cycles,
 columns)`` disturbance deltas ride on top of the shared background
 rows, and a vectorized borrow/select/relay state machine — the array
 form of the simulators' ``_simulate_cycle`` — advances every lane per
 cycle step.
 
-The batch is only entered when its equivalence to the per-fault forked
-path is *provable*:
+Each lane starts at its fault's injection cycle with **idle** carried
+state (zero borrow, zero relay selects).  That is exact, not an
+approximation: carried state only forms after a late capture, and the
+campaign evaluator checks once, at construction, that the background
+has no positive idle-state lateness (:meth:`PipelineLaneMachine.
+idle_lateness_ps`).  By induction from the idle cycle 0, a run with no
+fault active is idle entering every cycle, so the state a fault finds
+at its injection cycle is empty — there is no state to snapshot.
 
-* the group's fork snapshot must be idle (zero borrow, zero relay
-  selects) and the background screen must show no interesting cycle
-  between the fork start and a lane's injection cycle — then the lane
-  enters its window with exactly zero carried state, and the forked
-  run's prefix contributes no events and no semantic counter
-  increments;
-* a lane's window must fit :data:`MAX_LANE_WINDOW` steps.
-
-Lanes (or whole groups) that fail these checks drop to the existing
-per-fault forked path, which is preserved as the executable spec — the
-same screen-plus-scalar-replay discipline the cycle kernels use, now
-applied along the fault dimension.  Inside the batch, every semantic
-counter increment the scalar state machine would have made is
-reproduced exactly (bulk ``inc`` per outcome class, per-event relay
-depth observations), so :func:`repro.obs.semantic_snapshot` stays
-bit-identical across evaluation paths.
+Inside the batch, every semantic counter increment the scalar state
+machine would have made within the fault's window is reproduced
+exactly (bulk ``inc`` per outcome class, per-event relay depth
+observations), so the counters sum to the classified events.
 """
 
 from __future__ import annotations
@@ -47,20 +39,15 @@ from repro.campaign.outcomes import (
     MASKED_TB,
     RELAYED,
 )
+from repro.errors import ConfigurationError
+from repro.kernels.graph import CompiledTopology
+from repro.kernels.pipeline import CaptureParams, capture_block
 
 #: :func:`repro.campaign.outcomes.classify_flags`'s precedence ladder
 #: as an indexable tuple — ``np.select`` resolves each lane to its
 #: severity index, this maps the index back to the taxonomy class.
 _LADDER = (ESCAPED, RELAYED, MASKED_ED, MASKED_TB, FALSE_POSITIVE,
            BENIGN)
-from repro.kernels.graph import CompiledTopology
-from repro.kernels.pipeline import CaptureParams, capture_block
-
-#: Longest fork window (in cycles from the injection cycle to the
-#: window end, inclusive) a lane may occupy in a batch.  Longer windows
-#: — pathological relay horizons — replay through the forked path; the
-#: batch buffers stay small and dense.
-MAX_LANE_WINDOW = 64
 
 #: Sentinel for "no evaluated arrival" lateness cells; large enough to
 #: never win a max against a real lateness, small enough that adding a
@@ -68,17 +55,14 @@ MAX_LANE_WINDOW = 64
 _BIG_NEG = -(2 ** 60)
 
 # Lane-path internals (``repro_kernel_`` namespace: zero on scalar
-# runs, excluded from cross-mode byte-identity checks).  ``batched``
-# lanes went through the vectorized lane machine; ``replayed`` lanes
-# dropped to the per-fault forked path (divergent window, noisy
-# background, or non-idle fork state).
+# runs, excluded from cross-mode byte-identity checks).
 _OBS_LANES = obs.REGISTRY.counter(
     "repro_kernel_fault_lanes_total",
-    "Campaign fault lanes by evaluation path",
-    labelnames=("kernel", "path"))
+    "Campaign fault lanes evaluated by the lane machine",
+    labelnames=("kernel",))
 _OBS_GROUP = obs.REGISTRY.histogram(
     "repro_kernel_lane_group_faults",
-    "Fault lanes evaluated together per batched fork-window group",
+    "Fault lanes evaluated together per lane-machine call",
     labelnames=("kernel",),
     buckets=(1, 2, 4, 8, 16, 32, 64))
 
@@ -216,16 +200,10 @@ class _LaneMachineBase:
 
     kernel: str = "abstract"
 
-    def _note_batched(self, count: int) -> None:
+    def _note_lanes(self, count: int) -> None:
         if obs.REGISTRY.enabled:
-            _OBS_LANES.labels(kernel=self.kernel, path="batched").inc(count)
+            _OBS_LANES.labels(kernel=self.kernel).inc(count)
             _OBS_GROUP.labels(kernel=self.kernel).observe(count)
-
-    def note_replayed(self, count: int) -> None:
-        """Account lanes that dropped to the per-fault forked path."""
-        if obs.REGISTRY.enabled:
-            _OBS_LANES.labels(kernel=self.kernel,
-                              path="replayed").inc(count)
 
 
 class PipelineLaneMachine(_LaneMachineBase):
@@ -248,16 +226,9 @@ class PipelineLaneMachine(_LaneMachineBase):
         self.num_cols = len(self.stage_names)
         self.period_ps = period_ps
 
-    @staticmethod
-    def state_is_idle(state: "typing.Any") -> bool:
-        """Does a snapshot carry zero borrow and zero relay state?"""
-        borrow, relay = state
-        if any(borrow):
-            return False
-        if relay is None:
-            return True
-        select_in, next_select_in = relay
-        return not any(select_in) and not any(next_select_in)
+    def idle_lateness_ps(self, rows: "np.ndarray") -> int:
+        """Largest idle-state lateness anywhere in the background."""
+        return int(rows.max()) - self.period_ps
 
     def lane_columns(self, site_names:
                      "typing.Iterable[str]") -> tuple[int, ...]:
@@ -267,10 +238,10 @@ class PipelineLaneMachine(_LaneMachineBase):
                  rows: "typing.Any") -> "list[LaneOutcome]":
         """Advance every lane through its window in one batch.
 
-        ``rows`` is the trajectory's ``(delays, interesting)`` pair;
-        each lane reads its own window of background delay rows.
+        ``rows`` is the ``(cycles, stages)`` background delay array;
+        each lane reads its own window of it, starting idle.
         """
-        delays_all = rows[0]
+        delays_all = rows
         width = max(lane.steps for lane in lanes)
         count = len(lanes)
         cycles = _window_cycles(lanes, width, delays_all.shape[0])
@@ -308,7 +279,7 @@ class PipelineLaneMachine(_LaneMachineBase):
         if obs.REGISTRY.enabled:
             self._apply_counters(event, masked, detected, predicted,
                                  flagged, failed)
-            self._note_batched(count)
+            self._note_lanes(count)
         return _collect(lanes, event, lateness, masked, detected,
                         predicted, flagged, failed, intervals)
 
@@ -317,11 +288,10 @@ class PipelineLaneMachine(_LaneMachineBase):
                         failed) -> None:
         """Reproduce ``_account``'s per-capture increments in bulk.
 
-        The forked run's prefix is provably clean (the batch
-        precondition), so its increments over the whole window equal
-        the lane's live events — accounted here class by class with
+        Only the lane's live window is accounted, class by class with
         ``_account``'s exact precedence (failed before masked, masked
-        before detected/predicted).
+        before detected/predicted), so the four classes sum to the
+        lane's events.
         """
         _PIPE_FAILED.inc(int((failed & event).sum()))
         live_masked = masked & ~failed & event
@@ -356,11 +326,12 @@ class GraphLaneMachine(_LaneMachineBase):
         self.period_ps = period_ps
         self._plain = CaptureParams(kind="plain")
 
-    @staticmethod
-    def state_is_idle(state: "typing.Any") -> bool:
-        """Does a snapshot carry zero borrow and zero relay selects?"""
-        borrow, select_out = state
-        return not borrow and not select_out
+    def idle_lateness_ps(self, rows: "typing.Any") -> int:
+        """Largest idle-state lateness of any sensitized edge."""
+        sens, arrival = rows
+        if not sens.any():
+            return -self.period_ps
+        return int(arrival[sens].max()) - self.period_ps
 
     def lane_columns(self, site_names:
                      "typing.Iterable[str]") -> tuple[int, ...]:
@@ -374,11 +345,11 @@ class GraphLaneMachine(_LaneMachineBase):
                  rows: "typing.Any") -> "list[LaneOutcome]":
         """Advance every lane through its window in one batch.
 
-        ``rows`` is the trajectory's ``(sens, arrival, interesting)``
-        triple; each lane reads its own window of background rows.
+        ``rows`` is the background's ``(sens, arrival)`` pair; each
+        lane reads its own window of background rows, starting idle.
         """
         topo = self.topology
-        sens_all, arrival_all = rows[0], rows[1]
+        sens_all, arrival_all = rows
         width = max(lane.steps for lane in lanes)
         count = len(lanes)
         cycles = _window_cycles(lanes, width, sens_all.shape[0])
@@ -434,7 +405,7 @@ class GraphLaneMachine(_LaneMachineBase):
         if obs.REGISTRY.enabled:
             self._apply_counters(event, masked, flagged, failed_prot,
                                  failed, intervals)
-            self._note_batched(count)
+            self._note_lanes(count)
         return _collect(lanes, event, lateness, masked, never, never,
                         flagged, failed, intervals)
 
@@ -458,35 +429,34 @@ class GraphLaneMachine(_LaneMachineBase):
             _GRAPH_RELAY_DEPTH.observe(depth)
 
 
-def pipeline_machine(sim: "typing.Any") -> "PipelineLaneMachine | None":
-    """A lane machine for a ``PipelineSimulation``, or ``None``.
+def pipeline_machine(sim: "typing.Any") -> PipelineLaneMachine:
+    """The lane machine for a campaign ``PipelineSimulation``.
 
-    ``None`` when the configuration's dynamics the batch cannot model:
-    an attached controller (period feedback), fail-fast semantics, or a
-    capture policy without pure array semantics.
+    Raises :class:`~repro.errors.ConfigurationError` for dynamics the
+    batch does not model: an attached controller (period feedback),
+    fail-fast semantics, or a policy type without array semantics.
     """
-    if sim.controller is not None or sim.fail_fast:
-        return None
     params = CaptureParams.for_policy(sim.policy)
-    if params is None:
-        return None
+    if sim.controller is not None or sim.fail_fast or params is None:
+        raise ConfigurationError(
+            f"no lane machine for pipeline policy {sim.policy.name!r} "
+            f"with this simulator configuration")
     return PipelineLaneMachine(params,
                                [stage.name for stage in sim.stages],
                                sim.period_ps)
 
 
-def graph_machine(sim: "typing.Any") -> "GraphLaneMachine | None":
-    """A lane machine for a ``GraphPipelineSimulation``, or ``None``.
+def graph_machine(sim: "typing.Any") -> GraphLaneMachine:
+    """The lane machine for a campaign ``GraphPipelineSimulation``.
 
-    ``None`` when a controller or workload trace is attached (period /
-    threshold feedback the batch does not model).
+    Raises :class:`~repro.errors.ConfigurationError` when a controller
+    or workload trace is attached (feedback the batch does not model)
+    or when the graph has no candidate endpoint to perturb.
     """
-    if sim.controller is not None or sim.trace is not None:
-        return None
-    if not sim._rows:
-        # No candidate endpoints: nothing for a lane delta to perturb
-        # and nothing for reduceat segments to reduce over.
-        return None
+    if sim.controller is not None or sim.trace is not None or not sim._rows:
+        raise ConfigurationError(
+            "no lane machine for a graph simulation with a controller, "
+            "a workload trace or no candidate endpoints")
     params = (CaptureParams(kind="plain") if sim.scheme == "plain"
               else CaptureParams.from_checking_period(sim.scheme, sim.cp))
     dst_names = [ff for ff, _ in sim._rows]

@@ -81,25 +81,21 @@ def background_rows(
     compiled: "CompiledEdges",
     variability: "typing.Any",
     num_cycles: int,
-    nominal_period_ps: int,
     thresholds: "np.ndarray",
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-    """Fault-free sens/arrival rows and screen verdicts per trajectory.
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Fault-free sens/arrival rows for a whole campaign background.
 
     The graph twin of :func:`repro.kernels.pipeline.background_rows`:
-    one vectorized prefix-advance over ``[0, num_cycles)`` returning
-    ``(sens, arrival, interesting)`` with row ``c`` holding absolute
-    cycle ``c``'s per-edge decisions and the fault-free screen verdict.
-    ``thresholds`` is the ``(num_cycles,)`` per-cycle sensitization
-    threshold array (constant unless a workload trace scales it).
-    Snapshot-forked campaign evaluations index these shared rows
-    instead of re-running the block kernel per fault.
+    one vectorized pass over ``[0, num_cycles)`` returning ``(sens,
+    arrival)`` with row ``c`` holding absolute cycle ``c``'s per-edge
+    decisions.  ``thresholds`` is the ``(num_cycles,)`` per-cycle
+    sensitization threshold array (constant unless a workload trace
+    scales it).
     """
     from repro.kernels.schedule import MAX_BLOCK
 
     sens_parts = []
     arrival_parts = []
-    interesting_parts = []
     for pos in range(0, num_cycles, MAX_BLOCK):
         cycles = np.arange(pos, min(pos + MAX_BLOCK, num_cycles),
                            dtype=np.int64)
@@ -107,11 +103,7 @@ def background_rows(
                                        thresholds[pos:pos + len(cycles)])
         sens_parts.append(sens)
         arrival_parts.append(arrival)
-        interesting_parts.append(
-            screen_block(sens, arrival, nominal_period_ps))
-    return (np.concatenate(sens_parts),
-            np.concatenate(arrival_parts),
-            np.concatenate(interesting_parts))
+    return np.concatenate(sens_parts), np.concatenate(arrival_parts)
 
 
 class CompiledEdges:

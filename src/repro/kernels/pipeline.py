@@ -93,33 +93,23 @@ def background_rows(
     compiled: "CompiledStages",
     variability: "VariabilityModel",
     num_cycles: int,
-    period_ps: int,
-    threshold_ps: int,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Fault-free delay rows and screen verdicts for a whole trajectory.
+) -> "np.ndarray":
+    """Fault-free stage-delay rows for a whole campaign background.
 
-    One vectorized prefix-advance over ``[0, num_cycles)`` in
-    fixed-size blocks: returns ``(delays, interesting)`` where row
-    ``c`` of ``delays`` is the ``(S,)`` stage-delay vector of absolute
-    cycle ``c`` (bit-equal to ``delay_ps``) and ``interesting[c]`` is
-    the block screen's verdict on the *fault-free* cycle.  Snapshot-
-    forked campaign evaluations share these rows across every fault of
-    a configuration instead of re-evaluating their window per fault —
-    a fork then only ORs its own forced cycles into the screen slice.
+    One vectorized pass over ``[0, num_cycles)`` in fixed-size blocks:
+    row ``c`` is the ``(S,)`` stage-delay vector of absolute cycle ``c``
+    (bit-equal to ``delay_ps``).  Campaign lane evaluations share these
+    rows across every fault of a configuration instead of re-evaluating
+    their window per fault.
     """
     from repro.kernels.schedule import MAX_BLOCK
 
-    delay_parts = []
-    interesting_parts = []
-    for pos in range(0, num_cycles, MAX_BLOCK):
-        cycles = np.arange(pos, min(pos + MAX_BLOCK, num_cycles),
-                           dtype=np.int64)
-        delays = compiled.delay_block(cycles, variability)
-        delay_parts.append(delays)
-        interesting_parts.append(
-            screen_block(delays, period_ps, threshold_ps))
-    return (np.concatenate(delay_parts),
-            np.concatenate(interesting_parts))
+    return np.concatenate([
+        compiled.delay_block(
+            np.arange(pos, min(pos + MAX_BLOCK, num_cycles),
+                      dtype=np.int64), variability)
+        for pos in range(0, num_cycles, MAX_BLOCK)
+    ])
 
 
 class CompiledStages:
@@ -194,10 +184,10 @@ class CaptureParams:
     CapturePolicy` with the per-boundary state factored out: everything
     :func:`capture_block` needs to classify a whole array of latenesses
     with the exact element semantics of :mod:`repro.core.masking`.
-    Only the schemes whose capture functions are pure in
-    ``(lateness, select_in)`` compile — :meth:`for_policy` returns
-    ``None`` for anything else (and for subclasses, which may override
-    ``capture``), so callers fall back to the scalar state machine.
+    Every registered architecture's capture function is pure in
+    ``(boundary, lateness, select_in)``, so each compiles;
+    :meth:`for_policy` returns ``None`` only for unknown policy types
+    (and subclasses, which may override ``capture``).
     """
 
     kind: str
@@ -208,6 +198,10 @@ class CaptureParams:
     tb_ps: int = 0
     window_ps: int = 0
     guard_ps: int = 0
+    resample_ps: int = 0
+    consolidation_fits: bool = True
+    #: Per-boundary logical-masking cover (last array axis).
+    covered: tuple[bool, ...] = ()
 
     @classmethod
     def from_checking_period(cls, kind: str,
@@ -221,6 +215,9 @@ class CaptureParams:
     def for_policy(cls, policy: "CapturePolicy") -> "CaptureParams | None":
         from repro.pipeline.schemes import (
             CanaryPolicy,
+            ClockStallPolicy,
+            DcfPolicy,
+            LogicalMaskingPolicy,
             PlainPolicy,
             RazorPolicy,
             TimberFFPolicy,
@@ -240,6 +237,16 @@ class CaptureParams:
             return cls(kind="razor", window_ps=policy.window_ps)
         if policy_type is CanaryPolicy:
             return cls(kind="canary", guard_ps=policy.guard_ps)
+        if policy_type is LogicalMaskingPolicy:
+            return cls(kind="logical", covered=tuple(
+                index in policy.covered
+                for index in range(policy.num_boundaries)))
+        if policy_type is ClockStallPolicy:
+            return cls(kind="clock-stall", window_ps=policy.window_ps,
+                       consolidation_fits=policy.consolidation_fits)
+        if policy_type is DcfPolicy:
+            return cls(kind="dcf", window_ps=policy.detect_window_ps,
+                       resample_ps=policy.resample_delay_ps)
         return None
 
 
@@ -317,5 +324,26 @@ def capture_block(
             masked=false_, detected=false_, predicted=predicted,
             flagged=predicted, failed=viol,
             borrowed_ps=zero, borrowed_intervals=zero)
+    if params.kind == "logical":
+        masked = viol & np.array(params.covered, dtype=bool)
+        return CaptureArrays(
+            masked=masked, detected=false_, predicted=false_,
+            flagged=false_, failed=viol & ~masked,
+            borrowed_ps=zero, borrowed_intervals=zero)
+    if params.kind == "clock-stall":
+        stalled = viol & (lateness <= params.window_ps)
+        masked = stalled if params.consolidation_fits else false_
+        return CaptureArrays(
+            masked=masked, detected=stalled, predicted=false_,
+            flagged=stalled, failed=viol & ~masked,
+            borrowed_ps=zero, borrowed_intervals=zero)
+    if params.kind == "dcf":
+        masked = (viol & (lateness <= params.resample_ps)
+                  & (lateness <= params.window_ps))
+        return CaptureArrays(
+            masked=masked, detected=false_, predicted=false_,
+            flagged=false_, failed=viol & ~masked,
+            borrowed_ps=np.where(masked, params.resample_ps, 0),
+            borrowed_intervals=zero)
     raise ConfigurationError(
         f"no vectorized capture semantics for {params.kind!r}")

@@ -43,21 +43,3 @@ class FaultOverlayLike(typing.Protocol):
     def active_mask(self, cycles: "np.ndarray") -> "np.ndarray":
         """Bool mask over ``cycles``: True where any fault is active."""
         ...  # pragma: no cover - protocol
-
-
-def active_cycles_between(overlay: "typing.Any", start: int,
-                          stop: int) -> "list[int]":
-    """Active fault cycles of ``overlay`` inside ``[start, stop)``.
-
-    Uses the overlay's range query when it has one
-    (:meth:`repro.campaign.faults.FaultOverlay.active_cycles_between`
-    answers in O(log n)); duck-typed overlays that only implement the
-    protocol above fall back to a scan of ``active_cycles()``.  Forked
-    windows for late faults mostly contain no active cycle at all, and
-    this is what lets ``_run_rows`` skip its screen copy for them.
-    """
-    query = getattr(overlay, "active_cycles_between", None)
-    if query is not None:
-        return query(start, stop)
-    return [cycle for cycle in overlay.active_cycles()
-            if start <= cycle < stop]

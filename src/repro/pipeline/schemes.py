@@ -70,25 +70,6 @@ class CapturePolicy(abc.ABC):
         """Largest idle-state lateness that still captures CLEAN."""
         return 0
 
-    # -- snapshot/fork hooks --------------------------------------------
-    def relay_state(self):
-        """Opaque snapshot of the inter-cycle relay state.
-
-        ``None`` means the policy carries no state between cycles; the
-        base implementation covers every stateless scheme.  Stateful
-        policies (the TIMBER flip-flop's select relay) override both
-        hooks so a simulation snapshot can be restored to any stride
-        boundary of a fault-free background trajectory.
-        """
-        return None
-
-    def restore_relay_state(self, state) -> None:
-        """Install a state previously returned by :meth:`relay_state`."""
-        if state is not None:
-            raise ConfigurationError(
-                f"policy {self.name!r} is stateless but got relay state "
-                f"{state!r}")
-
 
 class PlainPolicy(CapturePolicy):
     """Conventional flip-flops: no tolerance at all."""
@@ -130,19 +111,6 @@ class TimberFFPolicy(CapturePolicy):
 
     def relay_idle(self) -> bool:
         return not any(self._select_in)
-
-    def relay_state(self):
-        return (tuple(self._select_in), tuple(self._next_select_in))
-
-    def restore_relay_state(self, state) -> None:
-        select_in, next_select_in = state
-        if (len(select_in) != self.num_boundaries
-                or len(next_select_in) != self.num_boundaries):
-            raise ConfigurationError(
-                f"relay state covers {len(select_in)} boundaries but the "
-                f"policy has {self.num_boundaries}")
-        self._select_in = list(select_in)
-        self._next_select_in = list(next_select_in)
 
     def max_borrowable_ps(self) -> int:
         return self.cp.checking_ps

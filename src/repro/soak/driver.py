@@ -11,7 +11,7 @@ One soak *round* is the unit of determinism and durability:
    over the exec layer (:class:`~repro.exec.runner.SweepRunner` —
    the same warm pool, retry, timeout-watchdog, and crash-quarantine
    machinery batch campaigns use; workers share the campaign's
-   background trajectories because
+   background rows because
    :meth:`~repro.campaign.engine.CampaignConfig.background_params`
    excludes fault parameters);
 4. classified outcomes update the estimator, and one journal record —
@@ -278,10 +278,9 @@ def soak_chunk_task(params: dict) -> TaskPayload:
 
     Regenerates each draw's spec with :func:`spec_for_draw` and
     classifies the chunk through the campaign evaluator's
-    ``evaluate_chunk`` — the identical (lane-batched, when enabled)
-    path a batch campaign chunk takes, which is what makes soak
-    outcomes bit-comparable to campaign outcomes.  Outcomes come back
-    scattered to draw order.
+    ``evaluate_chunk`` — the identical path a batch campaign chunk
+    takes, which is what makes soak outcomes bit-comparable to campaign
+    outcomes.  Outcomes come back in draw order.
     """
     config = CampaignConfig.from_params(params["config"])
     strata = {key: Stratum.from_params(key, stratum_params)

@@ -5,7 +5,9 @@ replay for injected cycles; clean cycles may still run vectorized.  The
 taxonomy must not depend on which path executed: a campaign run with
 ``REPRO_SCALAR_KERNELS=1`` must produce *byte-identical* encoded
 outcomes to the default (vectorized) run — the same classification, the
-same capture events, the same lateness numbers, for every fault.
+same capture events, the same lateness numbers, for every fault.  The
+population stream those campaigns draw from must likewise not depend
+on how it is sliced into chunks.
 """
 
 import json
@@ -14,7 +16,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.campaign import CampaignConfig, run_campaign
+from repro.campaign import CampaignConfig, iter_population, run_campaign
 from repro.exec.cache import encode_result
 from repro.kernels import HAVE_NUMPY, SCALAR_ENV
 
@@ -59,3 +61,23 @@ def test_scalar_and_vector_campaigns_bit_identical(configuration, seed,
     )
     assert _encoded_outcomes(config, scalar=True) == \
         _encoded_outcomes(config, scalar=False)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    num_faults=st.integers(min_value=1, max_value=60),
+    start=st.integers(min_value=0, max_value=60),
+    seed=st.integers(min_value=0, max_value=2 ** 16),
+)
+def test_population_streaming_is_chunk_invariant(num_faults, start,
+                                                 seed):
+    # Counter-based seeding: any [start, stop) slice of the stream is
+    # byte-identical to the same slice of the full population.
+    start = min(start, num_faults)
+    kwargs = dict(sites=["s0", "s1", "s2"], num_cycles=200, seed=seed)
+    full = list(iter_population(num_faults=num_faults, **kwargs))
+    tail = list(iter_population(num_faults=num_faults, start=start,
+                                **kwargs))
+    assert tail == full[start:]
+    assert (json.dumps(encode_result(tail), sort_keys=True)
+            == json.dumps(encode_result(full[start:]), sort_keys=True))

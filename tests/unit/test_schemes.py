@@ -69,7 +69,7 @@ class TestTimberLatchPolicy:
         assert outcome.masked and outcome.flagged
         assert outcome.borrowed_ps == 250
 
-    def test_no_relay_state(self):
+    def test_no_select_carryover(self):
         policy = TimberLatchPolicy(3, CP)
         policy.end_of_cycle([policy.capture(0, 250)])
         # A later boundary sees no select state; lateness is all it needs.
