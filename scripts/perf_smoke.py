@@ -94,8 +94,8 @@ CAMPAIGN_SPEEDUP_FLOOR = 15.0
 
 #: Soak gate: a 10-second bounded soak must sustain at least this
 #: fraction of the batched campaign's faults/s on the same config (the
-#: round loop, ring, estimator, and fsync-per-round journal are the
-#: only additions), and on a fixed round budget the adaptive sampler
+#: round loop, estimator, and fsync-per-round journal are the only
+#: additions), and on a fixed round budget the adaptive sampler
 #: must leave a strictly narrower widest CI than uniform sampling while
 #: the two overall estimates stay statistically compatible (the
 #: uniform-stratum combination is unbiased under any allocation).

@@ -17,7 +17,6 @@ from repro.campaign.engine import (
     CampaignConfig,
     CampaignResult,
     campaign_chunk_task,
-    evaluate_fault,
     fault_runner,
     run_campaign,
 )
@@ -26,7 +25,6 @@ from repro.campaign.faults import (
     FaultOverlay,
     FaultSpec,
     draw_spec,
-    generate_population,
     iter_population,
 )
 from repro.campaign.outcomes import (
@@ -55,14 +53,12 @@ __all__ = [
     "CampaignConfig",
     "CampaignResult",
     "campaign_chunk_task",
-    "evaluate_fault",
     "fault_runner",
     "run_campaign",
     "FAULT_KINDS",
     "FaultOverlay",
     "FaultSpec",
     "draw_spec",
-    "generate_population",
     "iter_population",
     "BENIGN",
     "ESCAPED",

@@ -1,10 +1,11 @@
-"""Campaign execution: per-fault simulation plus exec-layer fan-out.
+"""Campaign execution: chunk evaluation plus exec-layer fan-out.
 
 A campaign slices its seeded fault population into chunks, wraps every
 chunk as a :class:`~repro.exec.runner.SweepTask` (so it flows through
 the cache / retry / checkpoint machinery like any other sweep), and
-each worker re-generates the population deterministically, runs one
-simulation per fault, and classifies the observed capture events.
+each worker re-generates its slice of the population deterministically
+and classifies it with one ``evaluate_chunk`` call — the only entry
+point either evaluator has (a single fault is a one-element chunk).
 
 Three targets are supported:
 
@@ -43,8 +44,8 @@ captures; they serve the netlist target and scalar-kernel runs
 
 from __future__ import annotations
 
+import collections
 import dataclasses
-import time
 import typing
 
 from repro import obs
@@ -79,19 +80,13 @@ _TARGETS = ("pipeline", "graph", "netlist")
 #: Kinds with an event-driven (pulse/transition) realisation.
 _NETLIST_KINDS = ("seu", "delay")
 
-# Per-fault observability.  The outcome counter is semantic (classes
-# are a pure function of the seeded population and the simulators);
-# the latency histogram is wall-clock, hence the ``_seconds`` suffix
-# that excludes it from determinism checks.
+# The outcome counter is semantic: classes are a pure function of the
+# seeded population and the simulators.
 _OBS_OUTCOMES = obs.REGISTRY.counter(
     "repro_campaign_outcomes_total",
     "Classified fault outcomes",
     labelnames=("target", "scheme", "classification"))
-_OBS_FAULT_SECONDS = obs.REGISTRY.histogram(
-    "repro_campaign_fault_seconds",
-    "Wall time to simulate and classify one fault",
-    buckets=(0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-             0.25, 0.5, 1.0)).labels()
+
 
 @dataclasses.dataclass(frozen=True)
 class CampaignConfig:
@@ -438,19 +433,30 @@ FULL_RUN_TARGETS = {
 }
 
 
-class _EvaluatorBase:
-    """Shared chunk interface: outcomes in population order.
+def _count_outcomes(config: CampaignConfig,
+                    outcomes: typing.Sequence[FaultOutcome]) -> None:
+    """Add a classified chunk to ``repro_campaign_outcomes_total``.
 
-    ``evaluate_chunk`` is the one entry point chunk-shaped callers
-    (campaign tasks, soak rounds) use, so both evaluators produce
-    outcomes in population order with identical per-fault obs
-    accounting.
+    Both evaluators call this once per chunk, so the counter is
+    identical on the lane and full-run paths.
     """
+    if not obs.REGISTRY.enabled:
+        return
+    counts = collections.Counter(outcome.classification
+                                 for outcome in outcomes)
+    for classification, count in counts.items():
+        _OBS_OUTCOMES.labels(
+            target=config.target, scheme=config.scheme,
+            classification=classification,
+        ).inc(count)
 
-    config: "CampaignConfig"
 
-    def evaluate(self, spec: FaultSpec) -> tuple[FaultOutcome, int]:
-        raise NotImplementedError
+class _FullRunEvaluator:
+    """Chunk evaluation through the full-run reference, fault by fault."""
+
+    def __init__(self, config: CampaignConfig) -> None:
+        self.config = config
+        self._fn = FULL_RUN_TARGETS[config.target]
 
     def evaluate_chunk(
             self, specs: typing.Sequence[FaultSpec],
@@ -459,21 +465,11 @@ class _EvaluatorBase:
         outcomes: list[FaultOutcome] = []
         work = 0
         for spec in specs:
-            outcome, units = _classify(self.config, self, spec)
+            outcome, units = self._fn(self.config, spec)
             outcomes.append(outcome)
             work += units
+        _count_outcomes(self.config, outcomes)
         return outcomes, work
-
-
-class _FullRunEvaluator(_EvaluatorBase):
-    """Per-fault evaluation through the full-run reference functions."""
-
-    def __init__(self, config: CampaignConfig) -> None:
-        self.config = config
-        self._fn = FULL_RUN_TARGETS[config.target]
-
-    def evaluate(self, spec: FaultSpec) -> tuple[FaultOutcome, int]:
-        return self._fn(self.config, spec)
 
 
 def _background_rows(config: CampaignConfig, sim: typing.Any,
@@ -496,7 +492,7 @@ def _background_rows(config: CampaignConfig, sim: typing.Any,
     return WARM.get_or_build("trajectory", key, build)
 
 
-class _LaneEvaluator(_EvaluatorBase):
+class _LaneEvaluator:
     """Fault-lane batched evaluation on the shared background rows.
 
     Every fault of a chunk becomes one lane of a single
@@ -519,6 +515,7 @@ class _LaneEvaluator(_EvaluatorBase):
         self.config = config
         self.sites = config.sites()
         self._make_lane = fault_batch.Lane
+        self._ladder = fault_batch.LADDER
         sim = _SIM_BUILDERS[config.target](config)
         if config.target == "pipeline":
             self.machine = fault_batch.pipeline_machine(sim)
@@ -549,56 +546,41 @@ class _LaneEvaluator(_EvaluatorBase):
             duration=spec.duration_cycles,
             magnitude_ps=spec.magnitude_ps, cols=cols)
 
-    def evaluate(self, spec: FaultSpec) -> tuple[FaultOutcome, int]:
-        return self._evaluate_lanes([spec])[0]
-
     def evaluate_chunk(
             self, specs: typing.Sequence[FaultSpec],
     ) -> "tuple[list[FaultOutcome], int]":
-        started = time.perf_counter()
-        results = self._evaluate_lanes(specs)
-        if obs.REGISTRY.enabled and specs:
-            # The chunk shares one wall clock; per-fault latency is the
-            # amortized share.  The outcome counter increments exactly
-            # as the per-fault walk would have.
-            elapsed = (time.perf_counter() - started) / len(specs)
-            for outcome, _ in results:
-                _OBS_FAULT_SECONDS.observe(elapsed)
-                _OBS_OUTCOMES.labels(
-                    target=self.config.target,
-                    scheme=self.config.scheme,
-                    classification=outcome.classification,
-                ).inc()
-        return [outcome for outcome, _ in results], sum(
-            units for _, units in results)
-
-    def _evaluate_lanes(
-            self, specs: typing.Sequence[FaultSpec],
-    ) -> "list[tuple[FaultOutcome, int]]":
-        """One machine call over ``specs``: (outcome, work) per fault."""
+        """Classify ``specs`` in one machine call; outcomes in
+        population order + work."""
         if not specs:
-            return []
+            return [], 0
         lanes = [self._lane(spec) for spec in specs]
-        results = []
-        for spec, lane, lane_outcome in zip(
-                specs, lanes, self.machine.evaluate(lanes, self.rows)):
-            outcome = FaultOutcome(
+        severity, events, worst, intervals = self.machine.evaluate(
+            lanes, self.rows)
+        outcomes = [
+            FaultOutcome(
                 fault_id=spec.fault_id,
                 kind=spec.kind,
                 site=spec.site,
                 cycle=spec.cycle,
                 magnitude_ps=spec.magnitude_ps,
-                classification=lane_outcome.classification,
-                events=lane_outcome.events,
-                worst_lateness_ps=lane_outcome.worst_lateness_ps,
-                max_borrowed_intervals=lane_outcome.max_borrowed_intervals,
+                classification=self._ladder[index],
+                events=count,
+                worst_lateness_ps=lateness,
+                max_borrowed_intervals=depth,
             )
-            results.append((outcome, lane.steps * self._units_per_cycle))
-        return results
+            for spec, index, count, lateness, depth in zip(
+                specs, severity.tolist(), events.tolist(),
+                worst.tolist(), intervals.tolist())
+        ]
+        _count_outcomes(self.config, outcomes)
+        work = sum(lane.steps for lane in lanes) * self._units_per_cycle
+        return outcomes, work
 
 
-def fault_runner(config: CampaignConfig) -> "_EvaluatorBase":
-    """The per-fault evaluator for ``config``.
+def fault_runner(
+        config: CampaignConfig,
+) -> "_LaneEvaluator | _FullRunEvaluator":
+    """The chunk evaluator for ``config``.
 
     Cycle-level targets run on the lane machine.  The netlist target —
     and everything when the vector kernels are off
@@ -612,71 +594,9 @@ def fault_runner(config: CampaignConfig) -> "_EvaluatorBase":
     return _LaneEvaluator(config)
 
 
-def _classify(config: CampaignConfig,
-              runner: "_EvaluatorBase",
-              spec: FaultSpec) -> tuple[FaultOutcome, int]:
-    """Evaluate one fault through ``runner`` with obs accounting."""
-    if not obs.REGISTRY.enabled:
-        return runner.evaluate(spec)
-    started = time.perf_counter()
-    outcome, units = runner.evaluate(spec)
-    _OBS_FAULT_SECONDS.observe(time.perf_counter() - started)
-    _OBS_OUTCOMES.labels(
-        target=config.target, scheme=config.scheme,
-        classification=outcome.classification,
-    ).inc()
-    return outcome, units
-
-
-def evaluate_fault(config: CampaignConfig,
-                   runner: "_EvaluatorBase",
-                   spec: FaultSpec) -> tuple[FaultOutcome, int]:
-    """Classify one fault through an existing evaluator (obs included).
-
-    The public face of :func:`_classify` for callers that keep one
-    evaluator alive across many faults — the soak driver's chunk task
-    evaluates stratified draws through exactly this path, so a soak
-    outcome is bit-identical to a batch campaign outcome for the same
-    spec and configuration.
-    """
-    return _classify(config, runner, spec)
-
-
-def run_one_fault(config: CampaignConfig,
-                  spec: FaultSpec) -> tuple[FaultOutcome, int]:
-    """Simulate one fault; returns (outcome, simulated-work units)."""
-    return _classify(config, fault_runner(config), spec)
-
-
 # ---------------------------------------------------------------------------
 # Exec-layer integration
 # ---------------------------------------------------------------------------
-
-def _warm_population_slice(config: CampaignConfig, start: int,
-                           stop: int) -> list:
-    """Faults ``[start, stop)`` of the population, via the warm cache.
-
-    Generation is pure in the population parameters and the specs are
-    frozen, so re-dispatched chunks — and chunks of *other schemes*
-    sharing the same target — reuse one expansion per worker.  Only
-    population-relevant parameters enter the key (the scheme, for one,
-    does not change the draws), and only the slice is materialized:
-    soak-scale populations never exist in memory at once.
-    """
-    from repro.exec.cache import stable_key
-    from repro.exec.worker import WARM
-
-    key = stable_key("campaign-population", {
-        "sites": config.sites(),
-        "num_cycles": config.num_cycles,
-        "seed": config.seed,
-        "kinds": list(config.effective_kinds()),
-        "magnitude_range_ps": list(config.magnitude_range_ps),
-    }, start, stop)
-    return WARM.get_or_build(
-        "population", key,
-        lambda: list(config.iter_population(start, stop)))
-
 
 def campaign_chunk_task(params: dict) -> TaskPayload:
     """Sweep task: classify one contiguous chunk of the population.
@@ -685,8 +605,7 @@ def campaign_chunk_task(params: dict) -> TaskPayload:
     evaluation path.
     """
     config = CampaignConfig.from_params(params["config"])
-    specs = _warm_population_slice(config, params["start"],
-                                   params["stop"])
+    specs = list(config.iter_population(params["start"], params["stop"]))
     runner = fault_runner(config)
     with obs.trace_span("campaign.chunk", target=config.target,
                         scheme=config.scheme, start=params["start"],

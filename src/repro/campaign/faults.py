@@ -45,6 +45,11 @@ _FIELD_DURATION = 4
 _FIELD_MAGNITUDE = 5
 _FIELD_SPAN = 6
 
+#: Fault-window shape shared by every population and soak draw: the
+#: longest multi-cycle fault and the widest correlated site span.
+MAX_DURATION_CYCLES = 3
+MAX_SPAN = 3
+
 
 @dataclasses.dataclass(frozen=True)
 class FaultSpec:
@@ -101,6 +106,21 @@ def _draw(seed_lanes: tuple[int, int], fault_id: int, field: int) -> int:
     return mix32(_POPULATION_SALT, lo, hi, fault_id, field)
 
 
+def last_start_cycle(num_cycles: int) -> int:
+    """Bound on fault start cycles: faults land on ``[1, last_start)``.
+
+    Every injection window then fits inside a ``num_cycles`` run.
+    Raises :class:`~repro.errors.ConfigurationError` when the run is
+    too short to hold one.
+    """
+    last_start = num_cycles - MAX_DURATION_CYCLES
+    if last_start < 2:
+        raise ConfigurationError(
+            f"{num_cycles} cycles leave no room for a "
+            f"{MAX_DURATION_CYCLES}-cycle fault window")
+    return last_start
+
+
 def iter_population(
     *,
     num_faults: int,
@@ -109,13 +129,11 @@ def iter_population(
     seed: int,
     kinds: typing.Sequence[str] = FAULT_KINDS,
     magnitude_range_ps: tuple[int, int] = (20, 220),
-    max_duration_cycles: int = 3,
-    max_span: int = 3,
     start: int = 0,
 ) -> typing.Iterator[FaultSpec]:
     """Stream faults ``[start, num_faults)`` of a deterministic population.
 
-    Faults land on cycles ``[1, num_cycles - max_duration_cycles)`` so
+    Faults land on cycles ``[1, last_start_cycle(num_cycles))`` so
     every injection window fits inside the run.  All draws are
     counter-based: fault ``i`` is a pure function of ``(seed, i)``,
     independent of every other fault and of the order — or the chunking
@@ -140,20 +158,14 @@ def iter_population(
     lo_ps, hi_ps = magnitude_range_ps
     if not 0 < lo_ps <= hi_ps:
         raise ConfigurationError("bad magnitude range")
-    last_start = num_cycles - max_duration_cycles
-    if last_start < 2:
-        raise ConfigurationError(
-            f"{num_cycles} cycles leave no room for a "
-            f"{max_duration_cycles}-cycle fault window")
+    last_start = last_start_cycle(num_cycles)
     lanes = split64(seed)
 
     def generate() -> typing.Iterator[FaultSpec]:
         for fault_id in range(start, num_faults):
             yield draw_spec(
                 lanes, fault_id, sites=sites, kinds=kinds,
-                lo_ps=lo_ps, hi_ps=hi_ps, last_start=last_start,
-                max_duration_cycles=max_duration_cycles,
-                max_span=max_span)
+                lo_ps=lo_ps, hi_ps=hi_ps, last_start=last_start)
 
     return generate()
 
@@ -167,8 +179,6 @@ def draw_spec(
     lo_ps: int,
     hi_ps: int,
     last_start: int,
-    max_duration_cycles: int,
-    max_span: int,
     fault_id: int | None = None,
 ) -> FaultSpec:
     """Draw one fault — pure in ``(lanes, draw_index)``.
@@ -178,12 +188,13 @@ def draw_spec(
     stratified sources (:mod:`repro.soak.generator`) separate the two:
     each stratum keeps its own draw counter (so a stratum's stream is
     independent of how rounds interleave strata) while ``fault_id``
-    carries the global injection sequence number.
+    carries the global injection sequence number.  ``last_start``
+    comes from :func:`last_start_cycle`.
     """
     kind = kinds[_draw(lanes, draw_index, _FIELD_KIND) % len(kinds)]
     span = 1
     if kind == "correlated" and len(sites) > 1:
-        span = 2 + _draw(lanes, draw_index, _FIELD_SPAN) % (max_span - 1)
+        span = 2 + _draw(lanes, draw_index, _FIELD_SPAN) % (MAX_SPAN - 1)
         span = min(span, len(sites))
     # Correlated faults need `span` consecutive sites after the
     # primary one, so clamp the start index accordingly.
@@ -193,7 +204,7 @@ def draw_spec(
         duration = 1
     else:
         duration = 1 + (_draw(lanes, draw_index, _FIELD_DURATION)
-                        % max_duration_cycles)
+                        % MAX_DURATION_CYCLES)
     cycle = 1 + _draw(lanes, draw_index, _FIELD_CYCLE) % (last_start - 1)
     magnitude = lo_ps + (_draw(lanes, draw_index, _FIELD_MAGNITUDE)
                          % (hi_ps - lo_ps + 1))
@@ -202,25 +213,6 @@ def draw_spec(
         kind=kind, site=site, cycle=cycle,
         duration_cycles=duration, magnitude_ps=magnitude, span=span,
     )
-
-
-def generate_population(
-    *,
-    num_faults: int,
-    sites: typing.Sequence[str],
-    num_cycles: int,
-    seed: int,
-    kinds: typing.Sequence[str] = FAULT_KINDS,
-    magnitude_range_ps: tuple[int, int] = (20, 220),
-    max_duration_cycles: int = 3,
-    max_span: int = 3,
-) -> list[FaultSpec]:
-    """Materialize the full population (see :func:`iter_population`)."""
-    return list(iter_population(
-        num_faults=num_faults, sites=sites, num_cycles=num_cycles,
-        seed=seed, kinds=kinds, magnitude_range_ps=magnitude_range_ps,
-        max_duration_cycles=max_duration_cycles, max_span=max_span,
-    ))
 
 
 class FaultOverlay:

@@ -466,6 +466,30 @@ def _campaign_checkpoint_path(base: str, scheme: str) -> str:
     return str(path.with_name(f"{path.stem}-{scheme}{suffix}"))
 
 
+def _merge_phase_summaries(summaries: list[dict]) -> dict:
+    """One run summary covering every scheme phase of a campaign.
+
+    Counts, wall time and the retry/poison lists add up across phases,
+    warm-cache stats add up per kind; everything else (workers, kernel
+    mode) is the last phase's.
+    """
+    merged = dict(summaries[-1])
+    for key in ("tasks", "cache_hits", "cache_misses", "wall_time_s",
+                "batches", "resumed_tasks"):
+        merged[key] = sum(summary.get(key, 0) for summary in summaries)
+    for key in ("retries", "poisoned"):
+        merged[key] = [item for summary in summaries
+                       for item in summary.get(key, [])]
+    warm: dict[str, dict[str, int]] = {}
+    for summary in summaries:
+        for kind, stats in summary.get("warm_cache", {}).items():
+            row = warm.setdefault(kind, {})
+            for name, value in stats.items():
+                row[name] = row.get(name, 0) + value
+    merged["warm_cache"] = dict(sorted(warm.items()))
+    return merged
+
+
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.campaign import (
         CampaignConfig,
@@ -482,7 +506,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     observing = _obs_begin(args)
     reports = []
     config = None
-    summary: dict | None = None
+    summaries: list[dict] = []
     # One runner — hence one warm worker pool and one adaptive sizer —
     # shared across every scheme phase; only the checkpoint is
     # per-scheme, so each phase stays independently resumable.
@@ -533,6 +557,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                     break
                 reports.append(result.report)
                 summary = result.summary
+                summaries.append(summary)
                 # Scheme-boundary result line: campaign domain facts up
                 # front, then the shared RunHealth status (the same fold
                 # ``monitor`` renders — see _LiveStatus).
@@ -553,7 +578,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(render_reports(reports))
     if args.out and drained_exit is None:
         write_campaign_bench(args.out, reports, config=config,
-                             telemetry=summary)
+                             telemetry=_merge_phase_summaries(summaries))
         print(f"wrote {args.out}")
     if observing:
         _obs_finish(args)
@@ -581,7 +606,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             magnitude_bins=args.magnitude_bins,
             min_weight=args.min_weight,
             adaptive=not args.uniform,
-            ring_capacity=args.ring_capacity,
             checkpoint_every_rounds=args.checkpoint_every,
         )
     except ConfigurationError as error:
@@ -988,10 +1012,6 @@ def build_parser() -> argparse.ArgumentParser:
     soak.add_argument("--uniform", action="store_true",
                       help="disable adaptive reweighting (uniform "
                            "allocation; the control arm for benches)")
-    soak.add_argument("--ring-capacity", type=_positive_int,
-                      default=4096, metavar="N",
-                      help="bounded draw-ring capacity — caps "
-                           "generator run-ahead (default 4096)")
     soak.add_argument("--checkpoint-every", type=_positive_int,
                       default=1, metavar="ROUNDS",
                       help="rounds between checkpoint writes "

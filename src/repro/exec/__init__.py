@@ -13,8 +13,8 @@ substrate those sweeps run on.  Five layers:
   sinking the sweep).
 * :mod:`repro.exec.worker` — the per-worker warm cache: an LRU keyed on
   content hashes that memoizes resolved task functions, compiled kernel
-  arrays, variability models, and campaign populations across tasks and
-  batches for the lifetime of the worker.
+  arrays, variability models, and campaign background rows across tasks
+  and batches for the lifetime of the worker.
 * :mod:`repro.exec.cache` — an on-disk JSON result cache keyed by a
   content hash of the task configuration plus the code version; entries
   carry a checksum, so truncated or corrupted files are detected,

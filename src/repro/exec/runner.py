@@ -29,8 +29,8 @@ Execution semantics:
   warm-cache stats ship once per batch instead of once per task.
 * Inside each worker a process-wide LRU (:mod:`repro.exec.worker`)
   keyed on content hashes caches resolved task functions, variability
-  models, compiled stage/edge arrays, and campaign populations across
-  tasks in a batch and across batches.  A warm hit can only skip
+  models, compiled stage/edge arrays, and campaign background rows
+  across tasks in a batch and across batches.  A warm hit can only skip
   redundant construction of a deterministic artefact, never change a
   result — pinned by the batched-vs-serial byte-identity properties.
 * ``task_timeout_s`` (``None`` = unlimited) budgets each *attempt* from
@@ -89,10 +89,6 @@ from repro.kernels.rng import key_id, mix32, split64, uniform01
 #: Domain-separation salt for the backoff jitter stream.
 _BACKOFF_SALT = key_id("exec-backoff")
 
-#: Environment variable overriding the multiprocessing start method used
-#: for every pool the exec layer builds.
-MP_START_ENV = "REPRO_MP_START"
-
 #: Task functions take the params mapping and return the result value —
 #: or a :class:`TaskPayload` when they also want to report work metrics.
 TaskFunction = typing.Callable[[dict], typing.Any]
@@ -104,19 +100,19 @@ def exec_mp_context(method: str | None = None):
     Every ``ProcessPoolExecutor`` the runner constructs — the shared
     dispatch pool and the single-worker isolation pools — uses this one
     context instead of silently inheriting the platform default.  The
-    choice is ``method`` (the runner's ``mp_start``), else
-    ``REPRO_MP_START``, else ``fork`` where available (cheap warm-worker
-    startup; pools are created before the runner spawns any threads)
-    and ``spawn`` elsewhere.  The dispatch layer itself is spawn-safe —
+    choice is ``method`` (the runner's ``mp_start``), else ``fork``
+    where available (cheap warm-worker startup; pools are created before
+    the runner spawns any threads) and ``spawn`` elsewhere.  The
+    dispatch layer itself is spawn-safe —
     task functions resolve by dotted path, worker configuration travels
     through the initializer and inherited environment — which the test
     suite pins by running a sweep under ``mp_start="spawn"``.
     """
-    name = method or os.environ.get(MP_START_ENV) or None
-    if not name:
-        name = ("fork" if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn")
-    return multiprocessing.get_context(name)
+    if not method:
+        method = ("fork"
+                  if "fork" in multiprocessing.get_all_start_methods()
+                  else "spawn")
+    return multiprocessing.get_context(method)
 
 
 def derive_seed(root_seed: int, *parts: typing.Any) -> int:

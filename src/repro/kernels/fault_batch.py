@@ -46,8 +46,7 @@ from repro.kernels.pipeline import CaptureParams, capture_block
 #: :func:`repro.campaign.outcomes.classify_flags`'s precedence ladder
 #: as an indexable tuple — ``np.select`` resolves each lane to its
 #: severity index, this maps the index back to the taxonomy class.
-_LADDER = (ESCAPED, RELAYED, MASKED_ED, MASKED_TB, FALSE_POSITIVE,
-           BENIGN)
+LADDER = (ESCAPED, RELAYED, MASKED_ED, MASKED_TB, FALSE_POSITIVE, BENIGN)
 
 #: Sentinel for "no evaluated arrival" lateness cells; large enough to
 #: never win a max against a real lateness, small enough that adding a
@@ -118,16 +117,6 @@ class Lane:
     cols: tuple[int, ...]
 
 
-@dataclasses.dataclass(frozen=True)
-class LaneOutcome:
-    """Per-lane aggregation, mirroring ``outcome_from_events``."""
-
-    classification: str
-    events: int
-    worst_lateness_ps: int
-    max_borrowed_intervals: int
-
-
 def _window_cycles(lanes: "typing.Sequence[Lane]", width: int,
                    num_rows: int) -> "np.ndarray":
     """``(L, W)`` absolute cycle index per lane step, clipped to the
@@ -158,16 +147,18 @@ def _live_mask(lanes: "typing.Sequence[Lane]", width: int) -> "np.ndarray":
     return np.arange(width, dtype=np.int64)[None, :] < steps
 
 
-def _collect(lanes: "typing.Sequence[Lane]", event: "np.ndarray",
-             lateness: "np.ndarray", masked: "np.ndarray",
-             detected: "np.ndarray", predicted: "np.ndarray",
-             flagged: "np.ndarray", failed: "np.ndarray",
-             intervals: "np.ndarray") -> "list[LaneOutcome]":
-    """Fold the per-capture arrays into one outcome per lane.
+def _collect(event: "np.ndarray", lateness: "np.ndarray",
+             masked: "np.ndarray", detected: "np.ndarray",
+             predicted: "np.ndarray", flagged: "np.ndarray",
+             failed: "np.ndarray", intervals: "np.ndarray",
+             ) -> "tuple[np.ndarray, ...]":
+    """Fold the per-capture arrays into per-lane outcome columns.
 
-    ``event`` must already be masked to live steps; aggregation is
-    order-free, exactly like ``outcome_from_events`` over the observer
-    stream.
+    Returns ``(severity, events, worst_lateness_ps,
+    max_borrowed_intervals)``, each of shape ``(L,)``; ``severity``
+    indexes :data:`LADDER`.  ``event`` must already be masked to live
+    steps; aggregation is order-free, exactly like
+    ``outcome_from_events`` over the observer stream.
     """
     axes = (1, 2)
     events = event.sum(axes)
@@ -184,15 +175,7 @@ def _collect(lanes: "typing.Sequence[Lane]", event: "np.ndarray",
     severity = np.select(
         [any_failed, any_relayed, any_masked_ed, any_masked, any_warned],
         [0, 1, 2, 3, 4], default=5)
-    return [
-        LaneOutcome(
-            classification=_LADDER[severity[i]],
-            events=int(events[i]),
-            worst_lateness_ps=int(worst[i]),
-            max_borrowed_intervals=int(max_intervals[i]),
-        )
-        for i in range(len(lanes))
-    ]
+    return severity, events, worst, max_intervals
 
 
 class _LaneMachineBase:
@@ -235,11 +218,12 @@ class PipelineLaneMachine(_LaneMachineBase):
         return tuple(self._col[name] for name in site_names)
 
     def evaluate(self, lanes: "typing.Sequence[Lane]",
-                 rows: "typing.Any") -> "list[LaneOutcome]":
+                 rows: "typing.Any") -> "tuple[np.ndarray, ...]":
         """Advance every lane through its window in one batch.
 
         ``rows`` is the ``(cycles, stages)`` background delay array;
-        each lane reads its own window of it, starting idle.
+        each lane reads its own window of it, starting idle.  Returns
+        the per-lane outcome columns of :func:`_collect`.
         """
         delays_all = rows
         width = max(lane.steps for lane in lanes)
@@ -280,8 +264,8 @@ class PipelineLaneMachine(_LaneMachineBase):
             self._apply_counters(event, masked, detected, predicted,
                                  flagged, failed)
             self._note_lanes(count)
-        return _collect(lanes, event, lateness, masked, detected,
-                        predicted, flagged, failed, intervals)
+        return _collect(event, lateness, masked, detected, predicted,
+                        flagged, failed, intervals)
 
     @staticmethod
     def _apply_counters(event, masked, detected, predicted, flagged,
@@ -342,11 +326,12 @@ class GraphLaneMachine(_LaneMachineBase):
                      if name in self._col)
 
     def evaluate(self, lanes: "typing.Sequence[Lane]",
-                 rows: "typing.Any") -> "list[LaneOutcome]":
+                 rows: "typing.Any") -> "tuple[np.ndarray, ...]":
         """Advance every lane through its window in one batch.
 
         ``rows`` is the background's ``(sens, arrival)`` pair; each
         lane reads its own window of background rows, starting idle.
+        Returns the per-lane outcome columns of :func:`_collect`.
         """
         topo = self.topology
         sens_all, arrival_all = rows
@@ -406,8 +391,8 @@ class GraphLaneMachine(_LaneMachineBase):
             self._apply_counters(event, masked, flagged, failed_prot,
                                  failed, intervals)
             self._note_lanes(count)
-        return _collect(lanes, event, lateness, masked, never, never,
-                        flagged, failed, intervals)
+        return _collect(event, lateness, masked, never, never, flagged,
+                        failed, intervals)
 
     @staticmethod
     def _apply_counters(event, masked, flagged, failed_prot, failed,

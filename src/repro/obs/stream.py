@@ -378,11 +378,6 @@ class EventPublisher:
                 self._metrics_before = after
                 self.emit("metrics", delta=delta)
 
-    def flush_progress(self) -> None:
-        """Force out any pending progress/metrics events."""
-        with self._lock:
-            self._maybe_progress(force=True)
-
     # -- heartbeat ---------------------------------------------------------
     def _heartbeat_loop(self) -> None:
         # Tick at a quarter interval and emit whenever nothing has been

@@ -4,9 +4,9 @@ Where :mod:`repro.campaign` answers *"what does this scheme do over a
 fixed population of N faults?"*, ``repro.soak`` answers the operational
 question behind online error resilience: *"keep injecting until we are
 confident"*.  A soak run streams stratified fault draws — one stratum
-per (fault kind x magnitude bin) — through the same per-fault
-evaluators a batch campaign uses, updates per-stratum escape-rate
-estimates with Wilson confidence intervals incrementally, and reweights
+per (fault kind x magnitude bin) — through the same chunk evaluators
+a batch campaign uses, updates per-stratum escape-rate estimates with
+Wilson confidence intervals incrementally, and reweights
 the next round of draws toward the strata whose intervals are still
 wide (with a weight floor so no stratum starves, and uniform-weight
 stratified estimates so adaptive allocation never biases the headline
@@ -29,8 +29,6 @@ Modules:
   floor, largest-remainder integer allocation (no RNG);
 * :mod:`repro.soak.generator` — strata construction and counter-based
   spec draws (:func:`repro.campaign.faults.draw_spec`);
-* :mod:`repro.soak.ring` — the bounded draw buffer between generator
-  and chunk assembly (backpressure bounds generator run-ahead);
 * :mod:`repro.soak.journal` — fsync-per-record append-only JSONL with
   torn-tail recovery;
 * :mod:`repro.soak.driver` — the round loop: allocate, draw, dispatch
@@ -59,7 +57,6 @@ from repro.soak.generator import (
     stratum_lanes,
 )
 from repro.soak.journal import JournalCorrupt, SoakJournal
-from repro.soak.ring import SoakRing
 from repro.soak.sampler import AdaptiveSampler, allocate_counts
 
 __all__ = [
@@ -71,7 +68,6 @@ __all__ = [
     "SoakConfig",
     "SoakJournal",
     "SoakResult",
-    "SoakRing",
     "Stratum",
     "StratumStats",
     "allocate_counts",

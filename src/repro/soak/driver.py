@@ -7,11 +7,11 @@ One soak *round* is the unit of determinism and durability:
 2. the round's ``faults_per_round`` draws are allocated across strata
    (largest remainder, no RNG) and minted as ``(stratum, counter,
    fault_id)`` descriptors from per-stratum monotone counters;
-3. descriptors flow through the bounded ring into chunk tasks and out
-   over the exec layer (:class:`~repro.exec.runner.SweepRunner` —
-   the same warm pool, retry, timeout-watchdog, and crash-quarantine
-   machinery batch campaigns use; workers share the campaign's
-   background rows because
+3. descriptors are cut into contiguous ``faults_per_task`` chunks and
+   dispatched over the exec layer
+   (:class:`~repro.exec.runner.SweepRunner` — the same warm pool,
+   retry, timeout-watchdog, and crash-quarantine machinery batch
+   campaigns use; workers share the campaign's background rows because
    :meth:`~repro.campaign.engine.CampaignConfig.background_params`
    excludes fault parameters);
 4. classified outcomes update the estimator, and one journal record —
@@ -41,11 +41,7 @@ import time
 import typing
 
 from repro import obs
-from repro.campaign.engine import (
-    CampaignConfig,
-    evaluate_fault,
-    fault_runner,
-)
+from repro.campaign.engine import CampaignConfig, fault_runner
 from repro.campaign.outcomes import FaultOutcome
 from repro.errors import ConfigurationError, ExecutionError
 from repro.exec.cache import _code_version
@@ -65,7 +61,6 @@ from repro.soak.journal import (
     SoakJournal,
     record_digest,
 )
-from repro.soak.ring import SoakRing
 from repro.soak.sampler import AdaptiveSampler
 
 #: Dotted task-function name (module-level, worker-importable).
@@ -74,8 +69,7 @@ SOAK_TASK = "repro.soak.driver:soak_chunk_task"
 SOAK_CHECKPOINT_SCHEMA_VERSION = 1
 
 # Soak observability.  Round/fault counters and the CI-width gauge are
-# semantic (pure functions of config and round count); the ring-depth
-# gauge is semantic too (the pump is deterministic); wall-clock rates
+# semantic (pure functions of config and round count); wall-clock rates
 # live under the ``_seconds`` suffix, excluded from determinism checks.
 _OBS_ROUNDS = obs.REGISTRY.counter(
     "repro_soak_rounds_total", "Completed soak rounds").labels()
@@ -83,9 +77,6 @@ _OBS_FAULTS = obs.REGISTRY.counter(
     "repro_soak_faults_total",
     "Soak faults evaluated, by stratum",
     labelnames=("stratum",))
-_OBS_RING_DEPTH = obs.REGISTRY.gauge(
-    "repro_soak_ring_depth",
-    "Pending draws buffered in the soak ring").labels()
 _OBS_WIDEST_CI = obs.REGISTRY.gauge(
     "repro_soak_widest_ci_width",
     "Widest per-stratum escape-rate Wilson CI width").labels()
@@ -111,7 +102,6 @@ class SoakConfig:
     magnitude_bins: int = 3
     min_weight: float | None = None
     adaptive: bool = True
-    ring_capacity: int = 4096
     checkpoint_every_rounds: int = 1
 
     def __post_init__(self) -> None:
@@ -119,8 +109,6 @@ class SoakConfig:
             raise ConfigurationError("faults_per_round must be >= 1")
         if self.magnitude_bins < 1:
             raise ConfigurationError("magnitude_bins must be >= 1")
-        if self.ring_capacity < 1:
-            raise ConfigurationError("ring_capacity must be >= 1")
         if self.checkpoint_every_rounds < 1:
             raise ConfigurationError(
                 "checkpoint_every_rounds must be >= 1")
@@ -131,8 +119,8 @@ class SoakConfig:
     def run_key(self) -> str:
         """Identity of the soak stream: sampling semantics + code.
 
-        Excludes operational knobs (ring capacity, checkpoint cadence,
-        stop conditions) — they change pacing, never content.
+        Excludes operational knobs (checkpoint cadence, stop
+        conditions) — they change pacing, never content.
         """
         payload = json.dumps({
             "campaign": self.campaign.to_params(),
@@ -151,7 +139,6 @@ class SoakConfig:
             "magnitude_bins": self.magnitude_bins,
             "min_weight": self.min_weight,
             "adaptive": self.adaptive,
-            "ring_capacity": self.ring_capacity,
             "checkpoint_every_rounds": self.checkpoint_every_rounds,
         }
 
@@ -313,25 +300,6 @@ def _round_draws(strata: typing.Sequence[Stratum],
             fault_id += 1
 
 
-def _chunk_draws(ring: SoakRing,
-                 source: typing.Iterator[tuple[str, int, int]],
-                 chunk_size: int) -> typing.Iterator[list]:
-    """Pump draws through the bounded ring into chunk-sized batches.
-
-    Fill/drain alternation: the generator only advances while the ring
-    has room (backpressure), and chunks are cut from the ring FIFO so
-    draw order is preserved end to end.
-    """
-    while True:
-        ring.fill_from(source)
-        if obs.REGISTRY.enabled:
-            _OBS_RING_DEPTH.set(len(ring))
-        batch = ring.take(chunk_size)
-        if not batch:
-            return
-        yield batch
-
-
 def _outcome_digest_payload(outcome: FaultOutcome) -> list:
     """The per-fault fields the round digest commits to."""
     return [
@@ -341,8 +309,20 @@ def _outcome_digest_payload(outcome: FaultOutcome) -> list:
     ]
 
 
+def _class_counts(
+        keyed: typing.Iterable[tuple[str, FaultOutcome]],
+) -> dict[str, dict[str, int]]:
+    """Per-stratum class counts of ``(stratum key, outcome)`` pairs."""
+    counts: dict[str, dict[str, int]] = {}
+    for key, outcome in keyed:
+        row = counts.setdefault(key, {})
+        row[outcome.classification] = row.get(
+            outcome.classification, 0) + 1
+    return counts
+
+
 def _run_round(soak: SoakConfig, runner: SweepRunner,
-               strata: typing.Sequence[Stratum], ring: SoakRing,
+               strata: typing.Sequence[Stratum],
                state: dict, alloc: typing.Mapping[str, int],
                ) -> tuple[list[tuple[str, FaultOutcome]], int]:
     """Dispatch one round's draws; returns (keyed outcomes, work units).
@@ -353,9 +333,11 @@ def _run_round(soak: SoakConfig, runner: SweepRunner,
     re-run after resume is identical anyway).
     """
     config = soak.campaign
-    source = _round_draws(strata, alloc, state["counters"],
-                          state["seq"])
-    chunks = list(_chunk_draws(ring, source, config.faults_per_task))
+    draws = list(_round_draws(strata, alloc, state["counters"],
+                              state["seq"]))
+    size = config.faults_per_task
+    chunks = [draws[start:start + size]
+              for start in range(0, len(draws), size)]
     config_params = config.to_params()
     strata_params = {stratum.key: stratum.to_params()
                      for stratum in strata}
@@ -397,31 +379,25 @@ def replay_round(soak: SoakConfig, record: dict,
     """Re-derive one journal record's outcomes in-process.
 
     Regenerates every draw from the record's descriptors, classifies
-    each through the batch-campaign evaluator path, and recomputes the
-    per-stratum counts and the chained digest.  Used by the property
-    tests and the chaos drill to pin the replay contract:
+    them in one ``evaluate_chunk`` call of the batch-campaign
+    evaluator, and recomputes the per-stratum counts and the chained
+    digest.  Used by the property tests and the chaos drill to pin the
+    replay contract:
     ``replay_round(...)["digest"] == record["digest"]`` for every
     record of a valid journal.
     """
     config = soak.campaign
     strata = {stratum.key: stratum for stratum in soak.strata()}
-    runner = fault_runner(config)
-    counts: dict[str, dict[str, int]] = {}
-    payloads = []
-    outcomes: list[FaultOutcome] = []
-    for key, counter_start, count in record["draws"]:
-        for offset in range(int(count)):
-            payloads.append((key, int(counter_start) + offset))
+    draws = [(key, int(counter_start) + offset)
+             for key, counter_start, count in record["draws"]
+             for offset in range(int(count))]
     seq = int(record["seq_start"])
-    for index, (key, counter) in enumerate(payloads):
-        spec = spec_for_draw(config, strata[key], counter, seq + index)
-        outcome, _units = evaluate_fault(config, runner, spec)
-        outcomes.append(outcome)
-        row = counts.setdefault(key, {})
-        row[outcome.classification] = row.get(
-            outcome.classification, 0) + 1
+    specs = [spec_for_draw(config, strata[key], counter, seq + index)
+             for index, (key, counter) in enumerate(draws)]
+    outcomes, _work = fault_runner(config).evaluate_chunk(specs)
     digest = record_digest(prev_digest, [
         _outcome_digest_payload(outcome) for outcome in outcomes])
+    counts = _class_counts(zip((key for key, _counter in draws), outcomes))
     return {"counts": counts, "digest": digest, "outcomes": outcomes}
 
 
@@ -542,7 +518,6 @@ def run_soak(
     estimator = EscapeEstimator.restore(keys, state["estimator"])
     sampler = AdaptiveSampler(keys, min_weight=soak.min_weight,
                               adaptive=soak.adaptive)
-    ring = SoakRing(soak.ring_capacity)
     owns_runner = runner is None
     runner = runner or SweepRunner()
     started = time.monotonic()
@@ -567,19 +542,15 @@ def run_soak(
             weights, alloc = sampler.allocate(estimator,
                                               soak.faults_per_round)
             try:
-                keyed, _work = _run_round(soak, runner, strata, ring,
-                                          state, alloc)
+                keyed, _work = _run_round(soak, runner, strata, state,
+                                          alloc)
             except SweepDrained:
                 # Partial round: journal untouched (prefix-stable);
                 # the identical round re-runs after resume.
                 drained = True
                 stop = "drained"
                 break
-            counts: dict[str, dict[str, int]] = {}
-            for key, outcome in keyed:
-                row = counts.setdefault(key, {})
-                row[outcome.classification] = row.get(
-                    outcome.classification, 0) + 1
+            counts = _class_counts(keyed)
             digest = record_digest(state["digest"], [
                 _outcome_digest_payload(outcome)
                 for _key, outcome in keyed])

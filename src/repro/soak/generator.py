@@ -33,19 +33,13 @@ import dataclasses
 import typing
 
 from repro.campaign.engine import CampaignConfig
-from repro.campaign.faults import FaultSpec, draw_spec
+from repro.campaign.faults import FaultSpec, draw_spec, last_start_cycle
 from repro.errors import ConfigurationError
 from repro.exec.runner import derive_seed
 from repro.kernels.rng import split64
 
 #: Domain-separation tag for per-stratum seed lanes.
 STRATUM_SEED_TAG = "soak-stratum"
-
-#: Fault-window shape parameters, matching the batch population's
-#: defaults (:func:`repro.campaign.faults.iter_population`) so a soak
-#: draw and a population draw sample the same spec distribution.
-MAX_DURATION_CYCLES = 3
-MAX_SPAN = 3
 
 
 @dataclasses.dataclass(frozen=True)
@@ -130,11 +124,6 @@ def spec_for_draw(config: CampaignConfig, stratum: Stratum,
     journal, the chunk task uses it to materialize its draws, so there
     is no second implementation to drift.
     """
-    last_start = config.num_cycles - MAX_DURATION_CYCLES
-    if last_start < 2:
-        raise ConfigurationError(
-            f"{config.num_cycles} cycles leave no room for a "
-            f"{MAX_DURATION_CYCLES}-cycle fault window")
     return draw_spec(
         stratum_lanes(config, stratum.key),
         counter,
@@ -142,8 +131,6 @@ def spec_for_draw(config: CampaignConfig, stratum: Stratum,
         kinds=(stratum.kind,),
         lo_ps=stratum.lo_ps,
         hi_ps=stratum.hi_ps,
-        last_start=last_start,
-        max_duration_cycles=MAX_DURATION_CYCLES,
-        max_span=MAX_SPAN,
+        last_start=last_start_cycle(config.num_cycles),
         fault_id=fault_id,
     )

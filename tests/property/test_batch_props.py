@@ -82,8 +82,8 @@ def _fault_at(config: CampaignConfig, cycle: int, kind: str,
 
 def _assert_single_fault_matches(config: CampaignConfig,
                                  spec: FaultSpec) -> None:
-    outcome, _ = _LaneEvaluator(config).evaluate(spec)
-    assert _encoded(outcome) == _encoded(_full_run(config, [spec])[0])
+    outcomes, _ = _LaneEvaluator(config).evaluate_chunk([spec])
+    assert _encoded(outcomes) == _encoded(_full_run(config, [spec]))
 
 
 EDGE_FAULTS = dict(
@@ -149,8 +149,8 @@ def test_oversized_windows_match_full_runs(configuration, seed,
 )
 def test_fault_runner_outcomes_match_full_runs(configuration, seed,
                                                relay_horizon):
-    # fault_runner is what the exec layer calls; fault by fault over the
-    # streamed population its outcomes must equal the reference.
+    # fault_runner is what the exec layer calls; over the streamed
+    # population its outcomes must equal the reference.
     target, scheme = configuration
     config = CampaignConfig(
         target=target, scheme=scheme, num_faults=10, num_cycles=150,
@@ -158,10 +158,11 @@ def test_fault_runner_outcomes_match_full_runs(configuration, seed,
     )
     runner = fault_runner(config)
     assert isinstance(runner, _LaneEvaluator)
-    for spec in config.iter_population():
-        outcome, _ = runner.evaluate(spec)
-        assert _encoded(outcome) == _encoded(_full_run(config, [spec])[0]), \
-            spec
+    specs = list(config.iter_population())
+    outcomes, _ = runner.evaluate_chunk(specs)
+    for spec, outcome, full in zip(specs, outcomes,
+                                   _full_run(config, specs)):
+        assert _encoded(outcome) == _encoded(full), spec
 
 
 @settings(max_examples=8, deadline=None)
@@ -170,15 +171,15 @@ def test_fault_runner_outcomes_match_full_runs(configuration, seed,
     seed=st.integers(min_value=0, max_value=2 ** 16),
 )
 def test_chunk_walk_equals_per_fault_evaluation(configuration, seed):
-    # evaluate_chunk runs one machine call; evaluate() runs one-lane
-    # calls.  Batch shape must never leak into an outcome.
+    # A whole chunk is one machine call; one-element chunks are
+    # one-lane calls.  Batch shape must never leak into an outcome.
     target, scheme = configuration
     config = CampaignConfig(target=target, scheme=scheme, num_faults=10,
                             num_cycles=200, seed=seed)
     specs = config.population()
     chunked, _ = _LaneEvaluator(config).evaluate_chunk(specs)
     single = _LaneEvaluator(config)
-    singles = [single.evaluate(spec)[0] for spec in specs]
+    singles = [single.evaluate_chunk([spec])[0][0] for spec in specs]
     assert _encoded(chunked) == _encoded(singles)
 
 

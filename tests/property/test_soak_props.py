@@ -5,7 +5,7 @@ Two contracts pin the soak mode to the batch campaign machinery:
 1. **Streaming == batch.**  The estimator state folded from a soak
    journal equals the per-stratum classification counts obtained by
    regenerating every logged draw and evaluating it through the plain
-   batch path (``fault_runner`` + ``evaluate_fault``) in one pass —
+   batch path (``fault_runner`` + ``evaluate_chunk``) in one pass —
    the adaptive scheduling changes *which* faults are drawn, never what
    any individual fault does.
 
@@ -22,7 +22,7 @@ import dataclasses
 from hypothesis import given, settings, strategies as st
 
 from repro.campaign import CampaignConfig
-from repro.campaign.engine import evaluate_fault, fault_runner
+from repro.campaign.engine import fault_runner
 from repro.soak import (
     AdaptiveSampler,
     EscapeEstimator,
@@ -56,19 +56,21 @@ def _batch_counts(soak: SoakConfig,
     """Evaluate every logged draw through the batch path, in one pass."""
     config = soak.campaign
     strata = {stratum.key: stratum for stratum in soak.strata()}
-    runner = fault_runner(config)
-    counts: dict[str, dict[str, int]] = {}
+    keys, specs = [], []
     for record in records:
         seq = record["seq_start"]
         for key, counter_start, count in record["draws"]:
             for offset in range(count):
-                spec = spec_for_draw(config, strata[key],
-                                     counter_start + offset, seq)
+                keys.append(key)
+                specs.append(spec_for_draw(config, strata[key],
+                                           counter_start + offset, seq))
                 seq += 1
-                outcome, _units = evaluate_fault(config, runner, spec)
-                row = counts.setdefault(key, {})
-                row[outcome.classification] = row.get(
-                    outcome.classification, 0) + 1
+    outcomes, _work = fault_runner(config).evaluate_chunk(specs)
+    counts: dict[str, dict[str, int]] = {}
+    for key, outcome in zip(keys, outcomes):
+        row = counts.setdefault(key, {})
+        row[outcome.classification] = row.get(
+            outcome.classification, 0) + 1
     return counts
 
 

@@ -91,7 +91,7 @@ class TestLaneAccounting:
         config = _config()
         runner = _LaneEvaluator(config)
         spec = config.population()[0]
-        outcome, units = runner.evaluate(spec)
+        [outcome], units = runner.evaluate_chunk([spec])
         lanes = _series(observed, "repro_kernel_fault_lanes_total")
         assert lanes == {(("kernel", "pipeline"),): 1}
         assert outcome.fault_id == spec.fault_id

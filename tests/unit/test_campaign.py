@@ -19,12 +19,12 @@ from repro.campaign import (
     FaultSpec,
     build_report,
     classify_events,
-    generate_population,
+    iter_population,
     render_reports,
     run_campaign,
     write_campaign_bench,
 )
-from repro.campaign.engine import campaign_chunk_task, run_one_fault
+from repro.campaign.engine import campaign_chunk_task, fault_runner
 from repro.errors import ConfigurationError
 
 
@@ -32,7 +32,7 @@ def _population(**overrides):
     defaults = dict(num_faults=40, sites=["s0", "s1", "s2"],
                     num_cycles=200, seed=11)
     defaults.update(overrides)
-    return generate_population(**defaults)
+    return list(iter_population(**defaults))
 
 
 class TestPopulation:
@@ -216,7 +216,8 @@ class TestChunking:
                                 faults_per_task=5, seed=3)
         payload = campaign_chunk_task(
             {"config": config.to_params(), "start": 5, "stop": 10})
-        direct = [run_one_fault(config, spec)[0]
+        runner = fault_runner(config)
+        direct = [runner.evaluate_chunk([spec])[0][0]
                   for spec in config.population()[5:10]]
         assert payload.value == direct
         assert payload.events_processed > 0

@@ -97,6 +97,25 @@ class TestSweepCommand:
         assert "2 worker(s)" in out
 
 
+class TestCampaignCommand:
+    def test_out_telemetry_covers_every_scheme(self, tmp_path, capsys):
+        import json
+
+        out_path = tmp_path / "out.json"
+        argv = ["campaign", "--schemes", "plain,timber-ff",
+                "--faults", "30", "--cycles", "200", "--chunk", "10",
+                "--cache-dir", str(tmp_path / "cache"),
+                "--out", str(out_path)]
+        assert main(argv) == 0
+        telemetry = json.loads(out_path.read_text())["telemetry"]
+        # Two schemes x three chunks, not just the last scheme's three.
+        assert telemetry["tasks"] == telemetry["cache_misses"] == 6
+        assert main(argv) == 0
+        capsys.readouterr()
+        telemetry = json.loads(out_path.read_text())["telemetry"]
+        assert telemetry["tasks"] == telemetry["cache_hits"] == 6
+
+
 class TestMonitorCommand:
     def run_dir(self, tmp_path):
         spool = str(tmp_path / "events.jsonl")

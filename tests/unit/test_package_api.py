@@ -1,6 +1,9 @@
 """Tests for the top-level package API and exports."""
 
+import ast
 import importlib
+import pathlib
+import re
 
 import pytest
 
@@ -48,3 +51,23 @@ class TestSubpackageExports:
     def test_module_has_docstring(self, module_name):
         module = importlib.import_module(module_name)
         assert module.__doc__ and module.__doc__.strip()
+
+
+#: Every ``REPRO_*`` environment switch the package reads.  A new switch
+#: has to be added here on purpose.
+ENV_SWITCHES = {"REPRO_SCALAR_KERNELS", "REPRO_OBS",
+                "REPRO_WARM_CACHE_SIZE", "REPRO_CACHE_DIR"}
+
+
+class TestEnvironmentSwitches:
+    def test_repro_switches_are_pinned(self):
+        import repro
+
+        names = set()
+        for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if (isinstance(node, ast.Constant)
+                        and isinstance(node.value, str)
+                        and re.fullmatch(r"REPRO_[A-Z0-9_]+", node.value)):
+                    names.add(node.value)
+        assert names == ENV_SWITCHES

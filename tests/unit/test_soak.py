@@ -1,5 +1,5 @@
 """Unit tests for the soak subsystem: strata, estimators, sampler,
-ring, journal, checkpoint, and the driver's resume semantics."""
+journal, checkpoint, and the driver's resume semantics."""
 
 import json
 
@@ -14,9 +14,9 @@ from repro.soak import (
     SoakCheckpoint,
     SoakConfig,
     SoakJournal,
-    SoakRing,
     allocate_counts,
     build_strata,
+    replay_round,
     run_soak,
     soak_state_from_journal,
     spec_for_draw,
@@ -188,30 +188,6 @@ class TestSampler:
             AdaptiveSampler(["a", "b"], min_weight=0.6)  # > uniform
 
 
-class TestRing:
-    def test_backpressure_and_fifo(self):
-        ring = SoakRing(3)
-        assert ring.push(1) and ring.push(2) and ring.push(3)
-        assert ring.full and not ring.push(4)
-        assert ring.take(2) == [1, 2]
-        assert ring.free == 2
-
-    def test_fill_from_leaves_the_rest_in_the_source(self):
-        ring = SoakRing(2)
-        source = iter(range(5))
-        assert ring.fill_from(source) == 2
-        assert ring.take(10) == [0, 1]
-        assert ring.fill_from(source) == 2
-        assert next(source) == 4  # 4 was never pulled
-
-    def test_accepted_is_monotonic(self):
-        ring = SoakRing(2)
-        ring.fill_from(iter(range(2)))
-        ring.take(2)
-        ring.fill_from(iter(range(2)))
-        assert ring.accepted == 4
-
-
 class TestJournal:
     def test_fresh_append_read_round_trip(self, tmp_path):
         journal = SoakJournal(tmp_path / "j.jsonl")
@@ -319,6 +295,27 @@ class TestRunSoak:
         assert (tmp_path / "a.jsonl").read_bytes() == \
             (tmp_path / "b.jsonl").read_bytes()
 
+    def test_journal_content_does_not_depend_on_chunking(self, tmp_path):
+        # Chunks are contiguous slices of a round's draws, so the chunk
+        # size moves only the task layout: every round journals the same
+        # draws, counts and digest, and replays from its record alone.
+        journals = []
+        for chunk in (7, 25):
+            soak = small_soak(campaign=small_config(faults_per_task=chunk))
+            path = tmp_path / f"chunk{chunk}.jsonl"
+            run_soak(soak, journal_path=path, max_rounds=3)
+            _header, records = SoakJournal.read(path)
+            prev_digest = ""
+            for record in records:
+                replayed = replay_round(soak, record, prev_digest)
+                assert replayed["digest"] == record["digest"]
+                assert replayed["counts"] == record["counts"]
+                prev_digest = record["digest"]
+            journals.append([(record["draws"], record["counts"],
+                              record["digest"]) for record in records])
+        assert len(journals[0]) == 3
+        assert journals[0] == journals[1]
+
     def test_resume_without_checkpoint_rebuilds_from_journal(
             self, tmp_path):
         soak = small_soak()
@@ -409,7 +406,6 @@ class TestSoakConfig:
             base.run_key()
         assert small_soak(adaptive=False).run_key() != base.run_key()
         # Operational knobs don't change the stream identity.
-        assert small_soak(ring_capacity=8).run_key() == base.run_key()
         assert small_soak(checkpoint_every_rounds=5).run_key() == \
             base.run_key()
 
