@@ -20,7 +20,8 @@ Three checks, exercising the full ``--obs-out`` path end to end:
 5. Run a live sweep with the event stream enabled, then fold it back
    through ``repro-timber monitor --once --json`` and validate the
    RunHealth schema: the stream the dashboards trust must round-trip
-   through the real CLI.
+   through the real CLI, and its task counts must equal the ones the
+   sweep's ``--summary`` wrote.
 
     PYTHONPATH=src python scripts/obs_smoke.py
 """
@@ -44,7 +45,6 @@ CAMPAIGN_ARGS = ("--faults", "40", "--cycles", "300", "--chunk", "10",
 EXPECTED_FAMILIES = (
     "repro_campaign_outcomes_total",
     "repro_pipeline_outcomes_total",
-    "repro_exec_tasks_total",
     "repro_sim_events_total",
 )
 
@@ -154,8 +154,9 @@ HEALTH_KEYS = (
 
 def _check_monitor_roundtrip(tmp: pathlib.Path) -> None:
     spool = tmp / "events.jsonl"
+    summary_path = tmp / "summary.json"
     _cli("sweep", "fig1", "--cycles", "300", "--no-cache",
-         "--events", str(spool))
+         "--events", str(spool), "--summary", str(summary_path))
     if not spool.exists():
         raise SystemExit(f"{spool}: sweep wrote no event stream")
     out = _cli("monitor", str(spool), "--once", "--json")
@@ -172,6 +173,16 @@ def _check_monitor_roundtrip(tmp: pathlib.Path) -> None:
     if health["done"] != health["total"] or not health["done"]:
         raise SystemExit(
             f"monitor counted {health['done']}/{health['total']} tasks")
+    # The run's task counts now reach users through the summary and the
+    # stream only; both must carry the same tally.
+    summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    folded = (health["done"], health["executed"], health["cached"])
+    written = (summary["tasks"], summary["cache_misses"],
+               summary["cache_hits"])
+    if folded != written:
+        raise SystemExit(
+            f"monitor folded done/executed/cached {folded}, summary "
+            f"wrote tasks/cache_misses/cache_hits {written}")
 
 
 def main() -> int:

@@ -213,16 +213,19 @@ def _positive_int(text: str) -> int:
 
 
 def _make_runner(args: argparse.Namespace, *,
-                 checkpoint_path: str | None = None):
+                 checkpoint_path: str | None = None,
+                 result_cache: bool = True):
     """Build a :class:`SweepRunner` from the shared execution flags.
 
     Callers that run multiple phases (the campaign command) reassign
     ``runner.checkpoint`` per phase instead of building a runner — and
-    hence a worker pool — per phase.
+    hence a worker pool — per phase.  ``result_cache=False`` is for
+    commands that register no cache flags.
     """
     from repro.exec import ResultCache, SweepCheckpoint, SweepRunner
 
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    cache = (ResultCache(args.cache_dir)
+             if result_cache and not args.no_cache else None)
     checkpoint = None
     path = (checkpoint_path if checkpoint_path is not None
             else args.checkpoint)
@@ -466,30 +469,6 @@ def _campaign_checkpoint_path(base: str, scheme: str) -> str:
     return str(path.with_name(f"{path.stem}-{scheme}{suffix}"))
 
 
-def _merge_phase_summaries(summaries: list[dict]) -> dict:
-    """One run summary covering every scheme phase of a campaign.
-
-    Counts, wall time and the retry/poison lists add up across phases,
-    warm-cache stats add up per kind; everything else (workers, kernel
-    mode) is the last phase's.
-    """
-    merged = dict(summaries[-1])
-    for key in ("tasks", "cache_hits", "cache_misses", "wall_time_s",
-                "batches", "resumed_tasks"):
-        merged[key] = sum(summary.get(key, 0) for summary in summaries)
-    for key in ("retries", "poisoned"):
-        merged[key] = [item for summary in summaries
-                       for item in summary.get(key, [])]
-    warm: dict[str, dict[str, int]] = {}
-    for summary in summaries:
-        for kind, stats in summary.get("warm_cache", {}).items():
-            row = warm.setdefault(kind, {})
-            for name, value in stats.items():
-                row[name] = row.get(name, 0) + value
-    merged["warm_cache"] = dict(sorted(warm.items()))
-    return merged
-
-
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.campaign import (
         CampaignConfig,
@@ -506,7 +485,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     observing = _obs_begin(args)
     reports = []
     config = None
-    summaries: list[dict] = []
     # One runner — hence one warm worker pool and one adaptive sizer —
     # shared across every scheme phase; only the checkpoint is
     # per-scheme, so each phase stays independently resumable.
@@ -557,7 +535,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                     break
                 reports.append(result.report)
                 summary = result.summary
-                summaries.append(summary)
                 # Scheme-boundary result line: campaign domain facts up
                 # front, then the shared RunHealth status (the same fold
                 # ``monitor`` renders — see _LiveStatus).
@@ -578,7 +555,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(render_reports(reports))
     if args.out and drained_exit is None:
         write_campaign_bench(args.out, reports, config=config,
-                             telemetry=_merge_phase_summaries(summaries))
+                             telemetry=runner.telemetry.run_summary())
         print(f"wrote {args.out}")
     if observing:
         _obs_finish(args)
@@ -616,10 +593,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     # names it); the sweep-level checkpoint machinery stays off, and so
     # does the result cache — soak draws never repeat, so caching them
     # would only burn disk.
-    runner = _make_runner(args, checkpoint_path="")
-    runner.cache = None
-    if args.watchdog is not None and args.timeout is None:
-        runner.task_timeout_s = args.watchdog
+    runner = _make_runner(args, checkpoint_path="", result_cache=False)
     # The per-round status line is the RunHealth fold over the soak's
     # own ``round`` events (not runner-task progress — a soak's unit
     # is faults), printed by the publisher's listener.
@@ -887,6 +861,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "to this file"),
         resume_help: str = ("replay completed tasks from the "
                             "checkpoint file instead of re-running"),
+        result_cache: bool = True,
     ) -> None:
         cmd.add_argument("--workers", type=_positive_int, default=1,
                          help="process-pool size (1 = serial, default)")
@@ -907,11 +882,12 @@ def build_parser() -> argparse.ArgumentParser:
                               "and task functions (default: "
                               "$REPRO_WARM_CACHE_SIZE or 64; 0 "
                               "disables)")
-        cmd.add_argument("--cache-dir", default=None, metavar="PATH",
-                         help="result-cache directory (default: "
-                              "$REPRO_CACHE_DIR or .repro-cache)")
-        cmd.add_argument("--no-cache", action="store_true",
-                         help="bypass the on-disk result cache")
+        if result_cache:
+            cmd.add_argument("--cache-dir", default=None, metavar="PATH",
+                             help="result-cache directory (default: "
+                                  "$REPRO_CACHE_DIR or .repro-cache)")
+            cmd.add_argument("--no-cache", action="store_true",
+                             help="bypass the on-disk result cache")
         cmd.add_argument("--retries", type=int, default=1,
                          help="extra attempts per failing task "
                               "(default 1)")
@@ -1031,12 +1007,6 @@ def build_parser() -> argparse.ArgumentParser:
     soak.add_argument("--rounds", type=_positive_int, default=None,
                       help="stop after this many rounds (mostly for "
                            "tests and benches)")
-    soak.add_argument("--watchdog", type=float, default=None,
-                      metavar="SECONDS",
-                      help="per-fault-chunk stall watchdog: alias for "
-                           "--timeout (stalled workers are abandoned, "
-                           "their work re-dispatched, late results "
-                           "adopted)")
     soak.add_argument("--quiet", action="store_true",
                       help="suppress the per-round status line")
     add_exec_flags(
@@ -1044,7 +1014,8 @@ def build_parser() -> argparse.ArgumentParser:
         checkpoint_help=("soak-state checkpoint file (atomic "
                          "tmp+rename+fsync; speeds up --resume)"),
         resume_help=("continue a previous soak from its journal "
-                     "(and checkpoint, if given) byte-identically"))
+                     "(and checkpoint, if given) byte-identically"),
+        result_cache=False)
     soak.add_argument("--out", metavar="PATH",
                       help="write the machine-readable soak result "
                            "JSON")

@@ -1,12 +1,14 @@
 """Run telemetry: structured logging plus a machine-readable summary.
 
 Every sweep run records, per task: wall time, events processed, cache
-hit/miss, attempts, and the worker that ran it.  The aggregate summary
-adds run wall time, cache hit rate, and worker utilization (busy task
-seconds divided by ``run wall time x workers`` — 1.0 means the pool
-never idled).  Records are emitted through the ``repro.exec`` logger
-with the raw fields attached under ``extra`` so log processors can
-consume them without parsing message strings.
+hit/miss, attempts, and the worker that ran it.  The records feed one
+:class:`Tally` per scope, and every aggregate view of a run — the
+summary, the run-wide summary, the live event stream — is a projection
+of a tally.  The summary adds run wall time, cache hit rate, and worker
+utilization (busy task seconds divided by ``run wall time x workers``
+— 1.0 means the pool never idled).  Records are emitted through the
+``repro.exec`` logger with the raw fields attached under ``extra`` so
+log processors can consume them without parsing message strings.
 """
 
 from __future__ import annotations
@@ -19,54 +21,10 @@ import pathlib
 import time
 import typing
 
-from repro import obs
-
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.exec.runner import SweepTask, TaskOutcome
 
 logger = logging.getLogger("repro.exec")
-
-# Shared-registry mirrors of the summary's aggregates: record_* feeds
-# both from the same call sites, so ``summary()`` and the obs exporters
-# can never drift apart.  (``repro_exec_`` metrics depend on cache and
-# checkpoint state, so they sit outside the determinism contract.)
-_OBS_TASKS = obs.REGISTRY.counter(
-    "repro_exec_tasks_total",
-    "Sweep task outcomes by disposition",
-    labelnames=("status",))
-_OBS_EXECUTED = _OBS_TASKS.labels(status="executed")
-_OBS_CACHED = _OBS_TASKS.labels(status="cached")
-_OBS_RESUMED = _OBS_TASKS.labels(status="resumed")
-_OBS_POISONED = _OBS_TASKS.labels(status="poisoned")
-_OBS_RETRIES = obs.REGISTRY.counter(
-    "repro_exec_retries_total", "Task retry attempts").labels()
-_OBS_CRASHES = obs.REGISTRY.counter(
-    "repro_exec_crashes_total", "Definite worker deaths").labels()
-_OBS_FALLBACKS = obs.REGISTRY.counter(
-    "repro_exec_serial_fallbacks_total",
-    "Process-pool failures that fell back to serial execution").labels()
-_OBS_EVENTS = obs.REGISTRY.counter(
-    "repro_exec_events_processed_total",
-    "Simulated-work units reported by executed tasks").labels()
-_OBS_WORKERS = obs.REGISTRY.gauge(
-    "repro_exec_workers", "Worker-pool size of the most recent sweep",
-).labels()
-_OBS_TASK_SECONDS = obs.REGISTRY.histogram(
-    "repro_exec_task_seconds",
-    "Wall time per executed (non-cached, non-resumed) task",
-    buckets=(0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-             30.0, 60.0)).labels()
-_OBS_BATCHES = obs.REGISTRY.counter(
-    "repro_exec_batches_total",
-    "Task batches dispatched to pool workers").labels()
-_OBS_BATCH_TASKS = obs.REGISTRY.histogram(
-    "repro_exec_batch_tasks",
-    "Tasks per dispatched batch",
-    buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256)).labels()
-_OBS_WARM = obs.REGISTRY.counter(
-    "repro_exec_warm_cache_total",
-    "Warm-cache lookups inside workers, by artefact kind and result",
-    labelnames=("kind", "result"))
 
 
 @dataclasses.dataclass
@@ -84,29 +42,87 @@ class TaskRecord:
     resumed: bool = False
 
 
+@dataclasses.dataclass
+class Tally:
+    """Everything one scope of a run counts: a phase or the whole run.
+
+    Task dispositions are the summary's: ``cached`` and ``resumed``
+    tasks were served without running, ``executed`` tasks are the rest
+    (cache misses, poisoned ones included), and ``busy_s`` and
+    ``events_processed`` are the work of the executed tasks alone.
+    """
+
+    tasks: int = 0
+    cached: int = 0
+    resumed: int = 0
+    executed: int = 0
+    events_processed: int = 0
+    busy_s: float = 0.0
+    busy_max_s: float = 0.0
+    batches: int = 0
+    batch_tasks: int = 0
+    batch_max: int = 0
+    wall_time_s: float = 0.0
+    warm: dict[str, dict[str, int]] = dataclasses.field(
+        default_factory=dict)
+    retries: list[dict] = dataclasses.field(default_factory=list)
+    crashes: list[dict] = dataclasses.field(default_factory=list)
+    fallbacks: list[str] = dataclasses.field(default_factory=list)
+    poisoned: list[str] = dataclasses.field(default_factory=list)
+
+    def add_task(self, record: TaskRecord) -> None:
+        self.tasks += 1
+        if record.status == "poisoned":
+            self.poisoned.append(record.key)
+        if record.resumed:
+            self.resumed += 1
+        elif record.cached:
+            self.cached += 1
+        else:
+            self.executed += 1
+            self.events_processed += record.events_processed
+            self.busy_s += record.wall_time_s
+            self.busy_max_s = max(self.busy_max_s, record.wall_time_s)
+
+    def add_batch(self, size: int) -> None:
+        self.batches += 1
+        self.batch_tasks += size
+        self.batch_max = max(self.batch_max, size)
+
+    def add_warm(self, kind: str, hits: int, misses: int) -> None:
+        entry = self.warm.setdefault(kind, {"hits": 0, "misses": 0})
+        entry["hits"] += hits
+        entry["misses"] += misses
+
+
 class RunTelemetry:
-    """Collects task records for one sweep run and summarises them."""
+    """Counts a run's tasks once and projects the count as summaries.
+
+    Every ``record_*`` call updates two :class:`Tally` scopes: the
+    phase (one :meth:`SweepRunner.run <repro.exec.runner.SweepRunner.run>`,
+    reset by :meth:`start`) and the whole run (the life of this
+    object).  :meth:`summary` projects the phase, :meth:`run_summary`
+    the run; the event publisher ships the run tally as it grows.
+    Per-task records are kept for the phase only, so a long soak's
+    memory does not grow with its round count.
+    """
 
     def __init__(self) -> None:
         self.records: list[TaskRecord] = []
-        self.retries: list[dict] = []
-        self.fallbacks: list[str] = []
-        self.crashes: list[dict] = []
-        self.batch_sizes: list[int] = []
-        self.warm: dict[str, dict[str, int]] = {}
+        self.phase_tally = Tally()
+        self.run_tally = Tally()
         self.workers = 1
         self.num_tasks = 0
         self.kernel_mode: str | None = None
         self._started: float | None = None
-        self._wall_time_s = 0.0
         #: Live observers: ``listener(kind, payload)`` called from the
-        #: same sites that feed the summary, so a subscriber (the obs
-        #: event publisher) sees exactly what the summary will say.
-        #: Kinds: ``start`` (dict), ``task`` (:class:`TaskRecord`),
-        #: ``batch``/``retry``/``crash``/``fallback`` (dict),
-        #: ``finish`` (summary dict).  A listener that raises is
-        #: logged and skipped — telemetry fan-out must never abort
-        #: the run it narrates.
+        #: same sites that feed the tallies, after they are updated, so
+        #: a subscriber (the obs event publisher) reads the totals the
+        #: summary will report.  Kinds: ``start`` (dict), ``task``
+        #: (:class:`TaskRecord`), ``batch``/``retry``/``crash``/
+        #: ``fallback`` (dict), ``finish`` (summary dict).  A listener
+        #: that raises is logged and skipped — telemetry fan-out must
+        #: never abort the run it narrates.
         self.listeners: list[typing.Callable[[str, typing.Any],
                                              None]] = []
 
@@ -118,22 +134,20 @@ class RunTelemetry:
                 logger.warning("telemetry listener failed on %r", kind,
                                exc_info=True)
 
+    def _tallies(self) -> tuple[Tally, Tally]:
+        return self.phase_tally, self.run_tally
+
     # -- lifecycle ---------------------------------------------------------
     def start(self, *, workers: int, num_tasks: int) -> None:
         from repro.kernels import kernel_mode
 
         self.records = []
-        self.retries = []
-        self.fallbacks = []
-        self.crashes = []
-        self.batch_sizes = []
-        self.warm = {}
+        self.phase_tally = Tally()
         self.workers = workers
         self.num_tasks = num_tasks
         # Capture once: kernel_mode() reads the environment, which a
         # long-running process may mutate between run and summary.
         self.kernel_mode = kernel_mode()
-        _OBS_WORKERS.set(workers)
         self._started = time.perf_counter()
         self._notify("start", {"workers": workers,
                                "num_tasks": num_tasks})
@@ -156,20 +170,16 @@ class RunTelemetry:
             resumed=outcome.resumed,
         )
         self.records.append(record)
+        for tally in self._tallies():
+            tally.add_task(record)
         if record.status == "poisoned":
             verb = "poisoned"
-            _OBS_POISONED.inc()
         elif record.resumed:
             verb = "resumed from checkpoint"
-            _OBS_RESUMED.inc()
         elif record.cached:
             verb = "cache hit"
-            _OBS_CACHED.inc()
         else:
             verb = "executed"
-            _OBS_EXECUTED.inc()
-            _OBS_EVENTS.inc(record.events_processed)
-            _OBS_TASK_SECONDS.observe(record.wall_time_s)
         self._notify("task", record)
         logger.info(
             "task %s: %s in %.3fs (%d events, attempt %d, pid %d)",
@@ -182,9 +192,8 @@ class RunTelemetry:
     def record_batch(self, *, size: int,
                      warm: dict | None = None) -> None:
         """One batch round-trip completed (``size`` tasks dispatched)."""
-        self.batch_sizes.append(size)
-        _OBS_BATCHES.inc()
-        _OBS_BATCH_TASKS.observe(size)
+        for tally in self._tallies():
+            tally.add_batch(size)
         self._notify("batch", {"size": size})
         logger.debug(
             "batch of %d task(s) returned", size,
@@ -197,43 +206,37 @@ class RunTelemetry:
         if not delta:
             return
         for kind, (hits, misses) in delta.items():
-            entry = self.warm.setdefault(kind, {"hits": 0, "misses": 0})
-            entry["hits"] += hits
-            entry["misses"] += misses
-            if hits:
-                _OBS_WARM.labels(kind=kind, result="hit").inc(hits)
-            if misses:
-                _OBS_WARM.labels(kind=kind, result="miss").inc(misses)
+            for tally in self._tallies():
+                tally.add_warm(kind, hits, misses)
 
     def record_retry(self, task: "SweepTask", error: BaseException, *,
                      backoff_s: float = 0.0) -> None:
-        self.retries.append({"key": task.key, "error": repr(error),
-                             "backoff_s": backoff_s})
-        _OBS_RETRIES.inc()
-        self._notify("retry", self.retries[-1])
+        retry = {"key": task.key, "error": repr(error),
+                 "backoff_s": backoff_s}
+        for tally in self._tallies():
+            tally.retries.append(retry)
+        self._notify("retry", retry)
         logger.warning(
             "task %s failed (%s); retrying after %.3fs backoff",
             task.key, error, backoff_s,
-            extra={"repro_retry": {"key": task.key,
-                                   "error": repr(error),
-                                   "backoff_s": backoff_s}},
+            extra={"repro_retry": dict(retry)},
         )
 
     def record_crash(self, task: "SweepTask",
                      error: BaseException) -> None:
         """One definite worker death attributed to ``task``."""
-        self.crashes.append({"key": task.key, "error": repr(error)})
-        _OBS_CRASHES.inc()
-        self._notify("crash", self.crashes[-1])
+        crash = {"key": task.key, "error": repr(error)}
+        for tally in self._tallies():
+            tally.crashes.append(crash)
+        self._notify("crash", crash)
         logger.warning(
             "task %s killed its worker (%s)", task.key, error,
-            extra={"repro_crash": {"key": task.key,
-                                   "error": repr(error)}},
+            extra={"repro_crash": dict(crash)},
         )
 
     def record_fallback(self, error: BaseException) -> None:
-        self.fallbacks.append(repr(error))
-        _OBS_FALLBACKS.inc()
+        for tally in self._tallies():
+            tally.fallbacks.append(repr(error))
         self._notify("fallback", {"error": repr(error)})
         logger.warning(
             "process pool unavailable (%s); falling back to serial",
@@ -242,10 +245,12 @@ class RunTelemetry:
         )
 
     def finish(self) -> dict:
-        """Freeze the run and return the machine-readable summary."""
+        """Freeze the phase and return its machine-readable summary."""
         if self._started is not None:
-            self._wall_time_s = time.perf_counter() - self._started
+            wall = time.perf_counter() - self._started
             self._started = None
+            self.phase_tally.wall_time_s = wall
+            self.run_tally.wall_time_s += wall
         summary = self.summary()
         self._notify("finish", summary)
         logger.info(
@@ -260,52 +265,56 @@ class RunTelemetry:
 
     # -- aggregation -------------------------------------------------------
     def summary(self) -> dict:
-        """Aggregate view of the run (JSON-able)."""
+        """The current phase, with its per-task records (JSON-able)."""
+        summary = self._project(self.phase_tally)
+        summary["per_task"] = [dataclasses.asdict(r) for r in self.records]
+        return summary
+
+    def run_summary(self) -> dict:
+        """Every phase so far, in the keys of :meth:`summary` minus
+        ``per_task`` (JSON-able)."""
+        return self._project(self.run_tally)
+
+    def _project(self, tally: Tally) -> dict:
         if self.kernel_mode is None:  # summary before any start()
             from repro.kernels import kernel_mode
 
             self.kernel_mode = kernel_mode()
-        executed = [r for r in self.records
-                    if not r.cached and not r.resumed]
-        busy = sum(r.wall_time_s for r in executed)
-        wall = self._wall_time_s
-        if self._started is not None:  # summary of a still-running sweep
-            wall = time.perf_counter() - self._started
+        wall = tally.wall_time_s
+        if self._started is not None:  # summary of a still-running phase
+            wall += time.perf_counter() - self._started
+        executed = tally.executed
+        busy = tally.busy_s
         utilization = (busy / (wall * self.workers)
                        if wall > 0 and executed else 0.0)
         return {
-            "tasks": len(self.records),
+            "tasks": tally.tasks,
             "workers": self.workers,
             "kernel_mode": self.kernel_mode,
             "wall_time_s": wall,
-            "cache_hits": sum(1 for r in self.records if r.cached),
-            "cache_misses": len(executed),
-            "events_processed": sum(r.events_processed
-                                    for r in self.records),
+            "cache_hits": tally.cached,
+            "cache_misses": executed,
+            "events_processed": tally.events_processed,
             "task_wall_time_s": {
                 "total": busy,
-                "max": max((r.wall_time_s for r in executed),
-                           default=0.0),
-                "mean": busy / len(executed) if executed else 0.0,
+                "max": tally.busy_max_s,
+                "mean": busy / executed if executed else 0.0,
             },
             "worker_utilization": min(1.0, utilization),
-            "batches": len(self.batch_sizes),
+            "batches": tally.batches,
             "batch_tasks": {
-                "max": max(self.batch_sizes, default=0),
-                "mean": (sum(self.batch_sizes) / len(self.batch_sizes)
-                         if self.batch_sizes else 0.0),
+                "max": tally.batch_max,
+                "mean": (tally.batch_tasks / tally.batches
+                         if tally.batches else 0.0),
             },
-            "warm_cache": {kind: dict(self.warm[kind])
-                           for kind in sorted(self.warm)},
-            "retries": list(self.retries),
-            "backoff_s_total": sum(r.get("backoff_s", 0.0)
-                                   for r in self.retries),
-            "serial_fallbacks": list(self.fallbacks),
-            "crashes": list(self.crashes),
-            "poisoned": [r.key for r in self.records
-                         if r.status == "poisoned"],
-            "resumed_tasks": sum(1 for r in self.records if r.resumed),
-            "per_task": [dataclasses.asdict(r) for r in self.records],
+            "warm_cache": {kind: dict(tally.warm[kind])
+                           for kind in sorted(tally.warm)},
+            "retries": list(tally.retries),
+            "backoff_s_total": sum(r["backoff_s"] for r in tally.retries),
+            "serial_fallbacks": list(tally.fallbacks),
+            "crashes": list(tally.crashes),
+            "poisoned": list(tally.poisoned),
+            "resumed_tasks": tally.resumed,
         }
 
     def write_summary(self, path: str | os.PathLike) -> None:

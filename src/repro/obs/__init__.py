@@ -24,10 +24,13 @@ Determinism contract (pinned by ``tests/property/test_obs_props.py``):
   bit-identical values across runs **and across kernel modes**
   (``REPRO_SCALAR_KERNELS=1`` vs vectorized).
 * ``repro_kernel_*`` metrics describe vector-path internals (screen
-  hit rates, batch sizes) and are zero on scalar runs; ``repro_exec_*``
-  metrics depend on cache/checkpoint state; ``*_seconds`` histograms
-  and span timestamps are wall-clock.  None of these participate in
-  byte-identity checks.
+  hit rates, batch sizes) and are zero on scalar runs; ``*_seconds``
+  histograms and span timestamps are wall-clock.  None of these
+  participate in byte-identity checks.
+* ``repro_exec_*`` is reserved for execution-layer state that depends
+  on cache and checkpoint hits.  No family lives there: a run's task
+  counts are kept once, in :class:`~repro.exec.telemetry.RunTelemetry`,
+  and reach users through its summaries and the event stream.
 """
 
 from __future__ import annotations

@@ -116,23 +116,17 @@ class EventPublisher:
         self._stop = threading.Event()
         self._pending_drain: int | None = None
         self._ended = False
-        # Cumulative run counters fed by the telemetry bridge; shipped
-        # whole in every progress event so any prefix is self-contained.
-        self._counts = {
-            "done": 0, "executed": 0, "cached": 0, "resumed": 0,
-            "poisoned": 0, "retries": 0, "crashes": 0, "fallbacks": 0,
-            "batches": 0, "events_processed": 0, "checkpoints": 0,
-        }
-        self._busy_s = 0.0
-        self._workers = 0
+        #: The only count the publisher keeps itself: checkpoints never
+        #: pass through the telemetry it reads every other total from.
+        self._checkpoints = 0
+        self._telemetry: typing.Any = None
+        self._track_phases = True
         self._phase: str | None = None
-        self._phase_total: int | None = None
         self._total_units: int | None = None
         self._dirty = False
         self._last_progress_ns = 0
         self._last_metrics_ns = time.perf_counter_ns()
         self._metrics_before: dict | None = None
-        self._attached: list[typing.Any] = []
 
     # -- lifecycle ---------------------------------------------------------
     def open(self) -> "EventPublisher":
@@ -171,12 +165,9 @@ class EventPublisher:
             self._thread.join(timeout=2.0)
             self._thread = None
         with self._lock:
-            for telemetry in self._attached:
-                try:
-                    telemetry.listeners.remove(self._on_telemetry)
-                except ValueError:  # pragma: no cover - already gone
-                    pass
-            self._attached = []
+            if (self._telemetry is not None
+                    and self._on_telemetry in self._telemetry.listeners):
+                self._telemetry.listeners.remove(self._on_telemetry)
             self._emit_pending_drain()
             self._maybe_progress(force=True)
             if status is not None and not self._ended:
@@ -260,9 +251,8 @@ class EventPublisher:
 
     def checkpoint(self, **fields: typing.Any) -> None:
         with self._lock:
-            self._counts["checkpoints"] += 1
-            self.emit("checkpoint",
-                      total=self._counts["checkpoints"], **fields)
+            self._checkpoints += 1
+            self.emit("checkpoint", total=self._checkpoints, **fields)
 
     def note_drain(self, signum: int) -> None:
         """Record a drain request from a signal handler.
@@ -284,66 +274,40 @@ class EventPublisher:
 
         Batch completions, task outcomes, retries, crashes, and
         quarantines flow into the spool without the runner knowing the
-        publisher exists.  ``track_phases=False`` suppresses
+        publisher exists; every total an event carries is read from the
+        telemetry's run tally, so the spool and the run summary count
+        the same thing.  ``track_phases=False`` suppresses
         ``phase_start``/``phase_end`` for callers whose unit of
         progress is not the runner's (soak emits ``round`` events and
         would otherwise open a phase per round).
         """
         self._track_phases = track_phases
+        self._telemetry = telemetry
         telemetry.listeners.append(self._on_telemetry)
-        self._attached.append(telemetry)
         return self
 
     def _on_telemetry(self, kind: str, payload: typing.Any) -> None:
         with self._lock:
             self._emit_pending_drain()
+            run = self._telemetry.run_tally
             if kind == "start":
-                self._workers = payload["workers"]
-                self._phase_total = payload["num_tasks"]
-                if getattr(self, "_track_phases", True):
-                    self._phase = payload.get("phase") or self._phase
+                if self._track_phases:
                     self.emit("phase_start", phase=self._phase,
                               total=payload["num_tasks"],
                               workers=payload["workers"])
-            elif kind == "task":
-                counts = self._counts
-                counts["done"] += 1
-                if payload.status == "poisoned":
-                    counts["poisoned"] += 1
+            elif kind in ("task", "batch"):
+                if kind == "task" and payload.status == "poisoned":
                     self.emit("quarantine", key=payload.key,
-                              total=counts["poisoned"])
-                elif payload.resumed:
-                    counts["resumed"] += 1
-                elif payload.cached:
-                    counts["cached"] += 1
-                else:
-                    counts["executed"] += 1
-                    counts["events_processed"] += payload.events_processed
-                    self._busy_s += payload.wall_time_s
+                              total=len(run.poisoned))
                 self._dirty = True
                 self._maybe_progress()
-            elif kind == "batch":
-                self._counts["batches"] += 1
-                self._dirty = True
-                self._maybe_progress()
-            elif kind == "retry":
-                self._counts["retries"] += 1
-                self.emit("retry", key=payload["key"],
-                          error=payload["error"],
-                          backoff_s=payload["backoff_s"],
-                          total=self._counts["retries"])
-            elif kind == "crash":
-                self._counts["crashes"] += 1
-                self.emit("crash", key=payload["key"],
-                          error=payload["error"],
-                          total=self._counts["crashes"])
-            elif kind == "fallback":
-                self._counts["fallbacks"] += 1
-                self.emit("fallback", error=payload["error"],
-                          total=self._counts["fallbacks"])
+            elif kind in ("retry", "crash", "fallback"):
+                rare = {"retry": run.retries, "crash": run.crashes,
+                        "fallback": run.fallbacks}[kind]
+                self.emit(kind, **payload, total=len(rare))
             elif kind == "finish":
                 self._maybe_progress(force=True)
-                if getattr(self, "_track_phases", True):
+                if self._track_phases:
                     self.emit("phase_end", phase=self._phase,
                               wall_time_s=payload.get("wall_time_s"))
 
@@ -359,12 +323,27 @@ class EventPublisher:
                 >= self.progress_every_s * 1e9):
             self._dirty = False
             self._last_progress_ns = now_ns
+            telemetry = self._telemetry
+            run = telemetry.run_tally
+            # The whole cumulative count set, so any prefix of the spool
+            # is self-contained.  The heartbeat thread may read a task
+            # half-counted; every tally update is followed by a notify
+            # that marks the publisher dirty, so the next progress
+            # (forced at phase end) carries the settled totals.
             self.emit("progress", phase=self._phase,
-                      phase_total=self._phase_total,
+                      phase_total=telemetry.num_tasks,
                       total=self._total_units,
-                      workers=self._workers,
-                      busy_s=round(self._busy_s, 6),
-                      **self._counts)
+                      workers=telemetry.workers,
+                      busy_s=round(run.busy_s, 6),
+                      done=run.tasks, executed=run.executed,
+                      cached=run.cached, resumed=run.resumed,
+                      poisoned=len(run.poisoned),
+                      retries=len(run.retries),
+                      crashes=len(run.crashes),
+                      fallbacks=len(run.fallbacks),
+                      batches=run.batches,
+                      events_processed=run.events_processed,
+                      checkpoints=self._checkpoints)
         if (self.registry is not None
                 and self._metrics_before is not None
                 and (force or (now_ns - self._last_metrics_ns)

@@ -419,7 +419,6 @@ class SoakResult:
     per_stratum: list[dict]
     wall_time_s: float
     faults_evaluated: float
-    summary: dict
 
     @property
     def faults_per_second(self) -> float:
@@ -458,7 +457,6 @@ def run_soak(
     max_runtime_s: float | None = None,
     target_ci_width: float | None = None,
     max_rounds: int | None = None,
-    status: typing.Callable[[str], None] | None = None,
     publisher: typing.Any = None,
 ) -> SoakResult:
     """Run (or resume) a soak stream until a stop condition fires.
@@ -467,8 +465,7 @@ def run_soak(
     ``target_ci_width`` / ``max_rounds`` must be given — a soak with no
     stop condition only ends on a signal, which is almost never what a
     script wants (the CLI allows it explicitly for true open-ended
-    soaks).  ``status`` receives a one-line progress string after every
-    round.  ``publisher`` (an opened
+    soaks).  ``publisher`` (an opened
     :class:`~repro.obs.stream.EventPublisher`) receives one ``round``
     event per journaled round and a ``checkpoint`` event per durable
     checkpoint — the live feed ``repro-timber monitor`` folds; its
@@ -604,16 +601,6 @@ def run_soak(
                          "width": stats.ci_width}
                         for stats in estimator.all_stats()],
                 )
-            if status is not None:
-                elapsed = time.monotonic() - started
-                rate = evaluated / elapsed if elapsed > 0 else 0.0
-                overall = estimator.overall()
-                status(
-                    f"soak round={state['round']} "
-                    f"faults={estimator.total_faults()} "
-                    f"escape={overall['escape_rate']:.4f} "
-                    f"widest={widest.key}:{widest.ci_width:.4f} "
-                    f"{rate:.1f} f/s")
     finally:
         # Whatever ends the loop — stop rule, drain, or a failure —
         # the durable state must reflect every journaled round.
@@ -650,6 +637,4 @@ def run_soak(
         ],
         wall_time_s=wall,
         faults_evaluated=evaluated,
-        summary=(runner.last_run.summary
-                 if runner.last_run is not None else {}),
     )

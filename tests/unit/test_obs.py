@@ -396,20 +396,27 @@ class TestInstrumentation:
     def test_exec_counters(self, live_obs, tmp_path):
         from repro.exec import ResultCache, SweepRunner
         from repro.exec.runner import expand_grid
+        from repro.obs.stream import EventPublisher
 
         cache = ResultCache(tmp_path)
         tasks = expand_grid("repro.exec.testing:square_task",
                             {"x": (1, 2)})
-        SweepRunner(cache=cache).run(tasks)
-        SweepRunner(cache=cache).run(tasks)
-        snap = obs.REGISTRY.snapshot()
-        by_status = {
-            s["labels"]["status"]: s["value"]
-            for s in snap["repro_exec_tasks_total"]["series"]}
-        assert by_status.get("executed") == 2
-        assert by_status.get("cached") == 2
-        assert snap["repro_exec_events_processed_total"][
-            "series"][0]["value"] == 2
+        runner = SweepRunner(cache=cache)
+        publisher = EventPublisher(None, kind="sweep", heartbeat_s=60.0)
+        events = []
+        publisher.add_listener(events.append)
+        publisher.attach(runner.telemetry)
+        with publisher:
+            cold = runner.run(tasks).summary
+            warm = runner.run(tasks).summary
+        run = runner.telemetry.run_summary()
+        assert (cold["cache_misses"], warm["cache_hits"]) == (2, 2)
+        assert (run["cache_misses"], run["cache_hits"]) == (2, 2)
+        assert run["events_processed"] == 2
+        progress = [e for e in events if e["type"] == "progress"][-1]
+        assert progress["executed"] == 2
+        assert progress["cached"] == 2
+        assert progress["events_processed"] == 2
         assert any(s.name == "sweep.run" for s in obs.TRACER.spans)
 
     def test_semantic_snapshot_excludes_nonsemantic(self, live_obs):

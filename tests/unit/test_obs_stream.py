@@ -1,12 +1,12 @@
 """Unit tests for repro.obs.stream: publisher, reader, spool framing."""
 
-import dataclasses
 import json
 import time
-import types
 
 import pytest
 
+from repro.exec.runner import SweepTask, TaskOutcome
+from repro.exec.telemetry import RunTelemetry
 from repro.obs.stream import (
     EVENTS_FILENAME,
     STREAM_SCHEMA_VERSION,
@@ -18,14 +18,18 @@ from repro.obs.stream import (
 )
 
 
-@dataclasses.dataclass
-class FakeTask:
-    key: str = "t0"
-    status: str = "done"
-    resumed: bool = False
-    cached: bool = False
-    events_processed: int = 7
-    wall_time_s: float = 0.01
+def make_task(key="t0", index=0):
+    return SweepTask(experiment="repro.exec.testing:square_task",
+                     params={}, index=index, seed=0, key=key)
+
+
+def make_outcome(key, *, index=0, cached=False, poisoned=False):
+    # A poisoned task never returns, so it reports no time or work.
+    return TaskOutcome(task=make_task(key, index), value=None,
+                       wall_time_s=0.0 if poisoned else 0.01,
+                       events_processed=0 if poisoned else 7,
+                       cached=cached, attempts=1, worker_pid=0,
+                       status="poisoned" if poisoned else "done")
 
 
 def make_publisher(tmp_path, **kwargs):
@@ -127,16 +131,16 @@ class TestPublisherFraming:
 class TestTelemetryBridge:
     def test_task_flow_produces_progress(self, tmp_path):
         pub = make_publisher(tmp_path, progress_every_s=0.0)
-        telemetry = types.SimpleNamespace(listeners=[])
+        telemetry = RunTelemetry()
         pub.attach(telemetry)
-        notify = telemetry.listeners[0]
         with pub:
             pub.run_start(total=3)
-            notify("start", {"workers": 2, "num_tasks": 3})
-            notify("task", FakeTask(key="a"))
-            notify("task", FakeTask(key="b", cached=True))
-            notify("task", FakeTask(key="c", status="poisoned"))
-            notify("finish", {"wall_time_s": 0.5})
+            telemetry.start(workers=2, num_tasks=3)
+            telemetry.record_task(make_outcome("a", index=0))
+            telemetry.record_task(make_outcome("b", index=1, cached=True))
+            telemetry.record_task(make_outcome("c", index=2,
+                                               poisoned=True))
+            telemetry.finish()
             pub.run_end("ok")
         _, events = read_events(tmp_path / EVENTS_FILENAME)
         types_ = [event["type"] for event in events]
@@ -145,20 +149,23 @@ class TestTelemetryBridge:
         assert "quarantine" in types_
         last_progress = [e for e in events if e["type"] == "progress"][-1]
         assert last_progress["done"] == 3
-        assert last_progress["executed"] == 1
+        # A poisoned task is a cache miss, as the summary counts it.
+        assert last_progress["executed"] == 2
         assert last_progress["cached"] == 1
         assert last_progress["poisoned"] == 1
         assert last_progress["workers"] == 2
         assert last_progress["events_processed"] == 7
+        summary = telemetry.summary()
+        assert last_progress["executed"] == summary["cache_misses"]
+        assert last_progress["cached"] == summary["cache_hits"]
 
     def test_track_phases_false_suppresses_phase_events(self, tmp_path):
         pub = make_publisher(tmp_path, progress_every_s=0.0)
-        telemetry = types.SimpleNamespace(listeners=[])
+        telemetry = RunTelemetry()
         pub.attach(telemetry, track_phases=False)
-        notify = telemetry.listeners[0]
         with pub:
-            notify("start", {"workers": 1, "num_tasks": 5})
-            notify("finish", {"wall_time_s": 0.1})
+            telemetry.start(workers=1, num_tasks=5)
+            telemetry.finish()
         _, events = read_events(tmp_path / EVENTS_FILENAME)
         types_ = [event["type"] for event in events]
         assert "phase_start" not in types_
@@ -167,15 +174,13 @@ class TestTelemetryBridge:
     def test_retry_and_crash_events_carry_cumulative_totals(
             self, tmp_path):
         pub = make_publisher(tmp_path)
-        telemetry = types.SimpleNamespace(listeners=[])
+        telemetry = RunTelemetry()
         pub.attach(telemetry)
-        notify = telemetry.listeners[0]
         with pub:
-            notify("retry", {"key": "a", "error": "boom",
-                             "backoff_s": 0.0})
-            notify("retry", {"key": "b", "error": "boom",
-                             "backoff_s": 0.1})
-            notify("crash", {"key": "c", "error": "dead"})
+            telemetry.record_retry(make_task("a"), RuntimeError("boom"))
+            telemetry.record_retry(make_task("b"), RuntimeError("boom"),
+                                   backoff_s=0.1)
+            telemetry.record_crash(make_task("c"), RuntimeError("dead"))
         _, events = read_events(tmp_path / EVENTS_FILENAME)
         retries = [e for e in events if e["type"] == "retry"]
         assert [event["total"] for event in retries] == [1, 2]
@@ -184,7 +189,7 @@ class TestTelemetryBridge:
 
     def test_close_detaches_listener(self, tmp_path):
         pub = make_publisher(tmp_path)
-        telemetry = types.SimpleNamespace(listeners=[])
+        telemetry = RunTelemetry()
         pub.attach(telemetry)
         pub.open()
         pub.close()
