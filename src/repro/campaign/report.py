@@ -26,7 +26,7 @@ from repro.campaign.outcomes import (
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.campaign.engine import CampaignConfig
-    from repro.campaign.outcomes import FaultOutcome
+    from repro.campaign.outcomes import OutcomeColumns
 
 #: Schema version of ``BENCH_campaign.json`` (documented in DESIGN.md).
 CAMPAIGN_BENCH_SCHEMA = 1
@@ -93,20 +93,17 @@ class CoverageReport:
 
 
 def build_report(config: "CampaignConfig",
-                 outcomes: "typing.Sequence[FaultOutcome]",
-                 ) -> CoverageReport:
-    """Aggregate classified faults into the campaign's coverage report."""
-    counts = {name: 0 for name in OUTCOME_CLASSES}
-    for outcome in outcomes:
-        counts[outcome.classification] += 1
+                 columns: "OutcomeColumns") -> CoverageReport:
+    """Aggregate classified faults into the campaign's coverage report
+    (a count of the class column)."""
     return CoverageReport(
         target=config.target,
         scheme=config.scheme,
         period_ps=config.period_ps,
         checking_percent=config.checking_percent,
         margin_ps=config.margin_ps,
-        num_faults=len(outcomes),
-        counts=counts,
+        num_faults=len(columns),
+        counts=columns.class_counts(),
     )
 
 

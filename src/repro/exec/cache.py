@@ -5,7 +5,9 @@ configuration (experiment name, params, seed) plus the *code version*
 (package version and a cache schema version), so upgrading the library
 or changing any input silently invalidates stale entries.  Result values
 are experiment dataclasses; they round-trip through a small tagged JSON
-encoding that reconstructs the exact dataclass types on load.
+encoding that reconstructs the exact dataclass types on load.  Campaign
+and soak chunks are one :class:`~repro.campaign.outcomes.OutcomeColumns`
+value, so a chunk of faults is one compact entry of int columns.
 
 Every entry carries a SHA-256 checksum of its canonical encoded result;
 a truncated, corrupted, or tampered file fails verification on read and
@@ -22,7 +24,7 @@ import json
 import logging
 import os
 import pathlib
-import tempfile
+import threading
 import typing
 
 from repro.errors import ConfigurationError
@@ -35,7 +37,9 @@ logger = logging.getLogger("repro.exec.cache")
 #: Bump to invalidate every existing cache entry on disk (result layout
 #: or semantics changed without a package-version bump).
 #: 2: entries gained a result checksum for integrity verification.
-CACHE_SCHEMA_VERSION = 2
+#: 3: campaign and soak chunks are stored as one ``OutcomeColumns``
+#:    entry (lists of ints) instead of a list of per-fault records.
+CACHE_SCHEMA_VERSION = 3
 
 #: Default cache location; overridable per-cache or via environment.
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -64,12 +68,22 @@ def stable_key(*parts: typing.Any) -> str:
 # Tagged JSON encoding of experiment result dataclasses
 # ---------------------------------------------------------------------------
 
+#: Types that encode as themselves.  A list holding only these is a
+#: column and passes through without a call per item.
+_SCALARS = frozenset({type(None), bool, int, float, str})
+
+
+def _is_column(values: list) -> bool:
+    return _SCALARS.issuperset(map(type, values))
+
+
 def encode_result(value: typing.Any) -> typing.Any:
     """Encode a result value into JSON-able data.
 
     Dataclass instances become ``{"__dataclass__": "module:QualName",
     "fields": {...}}``; tuples are tagged so they survive the round trip
-    as tuples; dicts must have string keys.
+    as tuples; dicts must have string keys.  A list of plain JSON
+    scalars (a column) is copied as it is.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
@@ -83,6 +97,8 @@ def encode_result(value: typing.Any) -> typing.Any:
     if isinstance(value, tuple):
         return {"__tuple__": [encode_result(item) for item in value]}
     if isinstance(value, list):
+        if _is_column(value):
+            return list(value)
         return [encode_result(item) for item in value]
     if isinstance(value, dict):
         for key in value:
@@ -114,14 +130,23 @@ def decode_result(data: typing.Any) -> typing.Any:
             return tuple(decode_result(item) for item in data["__tuple__"])
         return {key: decode_result(item) for key, item in data.items()}
     if isinstance(data, list):
+        if _is_column(data):
+            return data
         return [decode_result(item) for item in data]
     return data
 
 
+def _canonical_json(encoded: typing.Any) -> str:
+    return json.dumps(encoded, sort_keys=True, separators=(",", ":"))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def result_checksum(encoded: typing.Any) -> str:
     """SHA-256 of the canonical JSON form of an encoded result."""
-    payload = json.dumps(encoded, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return _sha256(_canonical_json(encoded))
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +193,12 @@ class ResultCache:
         """
         path = self._path(key)
         try:
-            raw = path.read_bytes()
+            with open(path, "rb") as handle:
+                raw = handle.read()
         except OSError:
             return False, None
         try:
-            entry = json.loads(raw.decode("utf-8"))
+            entry = json.loads(raw)
             if not isinstance(entry, dict):
                 raise ValueError("entry is not a JSON object")
             version = entry["version"]
@@ -201,22 +227,29 @@ class ResultCache:
 
     def put(self, key: str, value: typing.Any, *,
             experiment: str = "", meta: dict | None = None) -> None:
-        """Store ``value`` under ``key`` (atomic rename, last-write-wins)."""
+        """Store ``value`` under ``key`` (atomic rename, last-write-wins).
+
+        The entry is one JSON object assembled around the result's
+        canonical JSON text, so the result is encoded once, by the C
+        encoder, for both the file and its checksum.  It is written to
+        a temporary file private to this process and thread, then
+        renamed into place.
+        """
         self.directory.mkdir(parents=True, exist_ok=True)
-        encoded = encode_result(value)
-        entry = {
-            "version": self.version,
-            "experiment": experiment,
-            "result": encoded,
-            "checksum": result_checksum(encoded),
-            "meta": meta or {},
-        }
-        fd, tmp_name = tempfile.mkstemp(dir=self.directory,
-                                        suffix=".tmp")
+        result = _canonical_json(encode_result(value))
+        text = (
+            f'{{"version":{json.dumps(self.version)},'
+            f'"experiment":{json.dumps(experiment)},'
+            f'"meta":{_canonical_json(meta or {})},'
+            f'"checksum":"{_sha256(result)}",'
+            f'"result":{result}}}')
+        path = self._path(key)
+        tmp_name = (f"{path}.{os.getpid()}-{threading.get_ident()}"
+                    ".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle)
-            os.replace(tmp_name, self._path(key))
+            with open(tmp_name, "wb") as handle:
+                handle.write(text.encode("utf-8"))
+            os.replace(tmp_name, path)
         except BaseException:
             try:
                 os.unlink(tmp_name)

@@ -148,6 +148,18 @@ class SweepTask:
     seed: int
     key: str
 
+    def payload(self) -> dict:
+        """The task's fields as the plain dict :func:`execute_task`
+        takes.
+
+        Shallow: ``params`` is shared, not deep-copied like
+        ``dataclasses.asdict`` would (a campaign task's params hold its
+        whole config).  A pool pickles the dict anyway, and task
+        functions get a fresh top-level copy of ``params``.
+        """
+        return {"experiment": self.experiment, "params": self.params,
+                "index": self.index, "seed": self.seed, "key": self.key}
+
     def resolve(self) -> TaskFunction:
         """Import and return this task's function."""
         module_name, _, func_name = self.experiment.partition(":")
@@ -507,7 +519,7 @@ class _Dispatcher:
                     batch.append((task, attempt))
             if not batch:
                 continue
-            payloads = [dataclasses.asdict(task) for task, _ in batch]
+            payloads = [task.payload() for task, _ in batch]
             try:
                 future = self.runner._pool.submit(execute_batch, payloads)
             except (BrokenProcessPool, RuntimeError):
@@ -960,7 +972,7 @@ class SweepRunner:
 
     def _run_serial(self, task: SweepTask, *, attempt_offset: int = 0,
                     max_attempts: int | None = None) -> TaskOutcome:
-        payload = dataclasses.asdict(task)
+        payload = task.payload()
         last_error: BaseException | None = None
         if max_attempts is None:
             max_attempts = self.retries + 1
@@ -1012,7 +1024,7 @@ class SweepRunner:
         shared a pool (or a batch) with the real crasher succeed here
         on the first attempt.
         """
-        payload = dataclasses.asdict(task)
+        payload = task.payload()
         crashes = 0
         attempt = 1  # the shared-pool attempt that sent us here
         while crashes < self.poison_after:

@@ -109,11 +109,19 @@ def _require_numpy() -> None:
         )
 
 
-def mix32_batch(lanes: typing.Sequence[LaneLike]) -> "np.ndarray":
-    """Vector :func:`mix32` over broadcastable ``uint32`` lanes."""
+def mix32_batch(lanes: typing.Sequence[LaneLike], *,
+                state: LaneLike = _SEED0) -> "np.ndarray":
+    """Vector :func:`mix32` over broadcastable ``uint32`` lanes.
+
+    ``state`` continues a fold instead of starting one: the mixer has
+    no finalization step, so ``mix32_batch(rest, state=mix32(*prefix))
+    == mix32_batch([*prefix, *rest])`` — callers hash a shared lane
+    prefix once, then only the lanes that differ.
+    """
     _require_numpy()
     with np.errstate(over="ignore"):
-        h = np.uint32(_SEED0)
+        h = (np.uint32(state & M32) if isinstance(state, int)
+             else state.astype(np.uint32, copy=False))
         mul1 = np.uint32(_MUL1)
         mul2 = np.uint32(_MUL2)
         for lane in lanes:

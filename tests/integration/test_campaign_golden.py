@@ -15,7 +15,12 @@ import pathlib
 
 import pytest
 
-from repro.campaign import CampaignConfig, fault_runner, run_campaign
+from repro.campaign import (
+    CampaignConfig,
+    OutcomeColumns,
+    fault_runner,
+    run_campaign,
+)
 from repro.campaign.engine import FULL_RUN_TARGETS, _LaneEvaluator
 from repro.campaign.report import build_report
 from repro.exec.cache import encode_result
@@ -67,5 +72,6 @@ def test_full_run_reference_matches_golden(capture):
     outcomes = [reference(config, spec)[0]
                 for spec in config.population()]
     assert encode_result(outcomes) == capture["outcomes"]
-    assert encode_result(build_report(config, outcomes)) == \
-        capture["report"]
+    assert encode_result(build_report(
+        config, OutcomeColumns.from_outcomes(outcomes, config.sites()))) \
+        == capture["report"]

@@ -18,7 +18,9 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines.architectures import ARCHITECTURES
 from repro.campaign import (
     CampaignConfig,
+    FaultBatch,
     FaultSpec,
+    OutcomeColumns,
     fault_runner,
     run_campaign,
 )
@@ -50,6 +52,13 @@ def _full_run(config: CampaignConfig, specs) -> list:
     return [reference(config, spec)[0] for spec in specs]
 
 
+def _lanes(evaluator, config: CampaignConfig, specs) -> list:
+    """``specs`` as one chunk through ``evaluator``, as outcomes."""
+    columns, _ = evaluator.evaluate_chunk(
+        FaultBatch.from_specs(specs, config.sites()))
+    return columns.outcomes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     configuration=st.sampled_from(CONFIGURATIONS),
@@ -67,7 +76,7 @@ def test_lane_chunk_matches_full_runs(configuration, seed, relay_horizon,
         sensitization_prob=sensitization,
     )
     specs = config.population()
-    outcomes, _ = _LaneEvaluator(config).evaluate_chunk(specs)
+    outcomes = _lanes(_LaneEvaluator(config), config, specs)
     for spec, outcome, full in zip(specs, outcomes,
                                    _full_run(config, specs)):
         assert _encoded(outcome) == _encoded(full), spec
@@ -82,7 +91,7 @@ def _fault_at(config: CampaignConfig, cycle: int, kind: str,
 
 def _assert_single_fault_matches(config: CampaignConfig,
                                  spec: FaultSpec) -> None:
-    outcomes, _ = _LaneEvaluator(config).evaluate_chunk([spec])
+    outcomes = _lanes(_LaneEvaluator(config), config, [spec])
     assert _encoded(outcomes) == _encoded(_full_run(config, [spec]))
 
 
@@ -137,7 +146,7 @@ def test_oversized_windows_match_full_runs(configuration, seed,
     specs = config.population()
     assert any(_window_end(config, spec) + 1 - spec.cycle > 64
                for spec in specs)
-    outcomes, _ = _LaneEvaluator(config).evaluate_chunk(specs)
+    outcomes = _lanes(_LaneEvaluator(config), config, specs)
     assert _encoded(outcomes) == _encoded(_full_run(config, specs))
 
 
@@ -149,8 +158,9 @@ def test_oversized_windows_match_full_runs(configuration, seed,
 )
 def test_fault_runner_outcomes_match_full_runs(configuration, seed,
                                                relay_horizon):
-    # fault_runner is what the exec layer calls; over the streamed
-    # population its outcomes must equal the reference.
+    # fault_runner is what the exec layer calls; over the population
+    # batch chunk tasks draw, its outcomes must equal the reference
+    # run over the scalar population stream.
     target, scheme = configuration
     config = CampaignConfig(
         target=target, scheme=scheme, num_faults=10, num_cycles=150,
@@ -159,7 +169,9 @@ def test_fault_runner_outcomes_match_full_runs(configuration, seed,
     runner = fault_runner(config)
     assert isinstance(runner, _LaneEvaluator)
     specs = list(config.iter_population())
-    outcomes, _ = runner.evaluate_chunk(specs)
+    columns, _ = runner.evaluate_chunk(config.population_batch())
+    outcomes = columns.outcomes()
+    assert len(outcomes) == len(specs)
     for spec, outcome, full in zip(specs, outcomes,
                                    _full_run(config, specs)):
         assert _encoded(outcome) == _encoded(full), spec
@@ -177,9 +189,9 @@ def test_chunk_walk_equals_per_fault_evaluation(configuration, seed):
     config = CampaignConfig(target=target, scheme=scheme, num_faults=10,
                             num_cycles=200, seed=seed)
     specs = config.population()
-    chunked, _ = _LaneEvaluator(config).evaluate_chunk(specs)
+    chunked = _lanes(_LaneEvaluator(config), config, specs)
     single = _LaneEvaluator(config)
-    singles = [single.evaluate_chunk([spec])[0][0] for spec in specs]
+    singles = [_lanes(single, config, [spec])[0] for spec in specs]
     assert _encoded(chunked) == _encoded(singles)
 
 
@@ -202,5 +214,5 @@ def test_campaign_matches_full_run_reference(configuration, seed,
     result = run_campaign(config)
     reference = _full_run(config, config.population())
     assert _encoded(result.outcomes) == _encoded(reference)
-    assert _encoded(result.report) == _encoded(build_report(config,
-                                                            reference))
+    assert _encoded(result.report) == _encoded(build_report(
+        config, OutcomeColumns.from_outcomes(reference, config.sites())))

@@ -21,13 +21,14 @@ import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
-from repro.campaign import CampaignConfig
+from repro.campaign import CampaignConfig, FaultBatch
 from repro.campaign.engine import fault_runner
 from repro.soak import (
     AdaptiveSampler,
     EscapeEstimator,
     SoakConfig,
     SoakJournal,
+    batch_for_draws,
     replay_round,
     run_soak,
     soak_state_from_journal,
@@ -65,7 +66,9 @@ def _batch_counts(soak: SoakConfig,
                 specs.append(spec_for_draw(config, strata[key],
                                            counter_start + offset, seq))
                 seq += 1
-    outcomes, _work = fault_runner(config).evaluate_chunk(specs)
+    columns, _work = fault_runner(config).evaluate_chunk(
+        FaultBatch.from_specs(specs, config.sites()))
+    outcomes = columns.outcomes()
     counts: dict[str, dict[str, int]] = {}
     for key, outcome in zip(keys, outcomes):
         row = counts.setdefault(key, {})
@@ -190,3 +193,45 @@ def test_adaptive_and_uniform_streams_share_fault_semantics(
         spec_u = spec_for_draw(uniform.campaign, strata[key],
                                counter, 0)
         assert dataclasses.asdict(spec_a) == dataclasses.asdict(spec_u)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    configuration=st.sampled_from(CONFIGURATIONS),
+    seed=st.integers(min_value=-2 ** 63, max_value=2 ** 63 - 1),
+    num_stages=st.integers(min_value=2, max_value=8),
+    bins=st.integers(min_value=1, max_value=5),
+    runs=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=40),
+                  st.integers(min_value=0, max_value=10 ** 9),
+                  st.integers(min_value=1, max_value=12),
+                  st.integers(min_value=0, max_value=3)),
+        min_size=1, max_size=6),
+)
+def test_batch_for_draws_equals_spec_for_draw(configuration, seed,
+                                              num_stages, bins, runs):
+    # Chunk tasks and journal replay draw a chunk's (stratum, counter,
+    # fault_id) descriptors as one batch; each must be exactly the
+    # spec spec_for_draw regenerates, whatever the run structure
+    # (stratum changes, counter jumps, fault-id gaps).
+    target, scheme = configuration
+    config = CampaignConfig(target=target, scheme=scheme, num_faults=1,
+                            num_cycles=300, num_stages=num_stages,
+                            seed=seed)
+    soak = SoakConfig(campaign=config, faults_per_round=10,
+                      magnitude_bins=bins)
+    strata = soak.strata()
+    draws = []
+    fault_id = 0
+    for stratum_index, counter, count, gap in runs:
+        key = strata[stratum_index % len(strata)].key
+        fault_id += gap
+        for offset in range(count):
+            draws.append((key, counter + offset, fault_id))
+            fault_id += 1
+    by_key = {stratum.key: stratum for stratum in strata}
+    batch = batch_for_draws(config, by_key, draws)
+    assert len(batch) == len(draws)
+    assert batch.specs() == [
+        spec_for_draw(config, by_key[key], counter, fault_id)
+        for key, counter, fault_id in draws]

@@ -12,7 +12,12 @@ import pytest
 
 from repro import obs
 from repro.baselines.architectures import ARCHITECTURES
-from repro.campaign import CampaignConfig, fault_runner, run_campaign
+from repro.campaign import (
+    CampaignConfig,
+    FaultBatch,
+    fault_runner,
+    run_campaign,
+)
 from repro.campaign import engine
 from repro.campaign.engine import _FullRunEvaluator, _LaneEvaluator
 from repro.errors import ConfigurationError
@@ -82,16 +87,19 @@ class TestRunnerSelectionMatrix:
 class TestLaneAccounting:
     def test_every_fault_is_one_lane(self, observed):
         config = _config()
-        specs = config.population()
-        _LaneEvaluator(config).evaluate_chunk(specs)
+        batch = config.population_batch()
+        _LaneEvaluator(config).evaluate_chunk(batch)
         lanes = _series(observed, "repro_kernel_fault_lanes_total")
-        assert lanes == {(("kernel", "pipeline"),): len(specs)}
+        assert lanes == {(("kernel", "pipeline"),): len(batch)}
+        assert len(batch) == config.num_faults
 
     def test_single_fault_evaluate_uses_one_lane_group(self, observed):
         config = _config()
         runner = _LaneEvaluator(config)
         spec = config.population()[0]
-        [outcome], units = runner.evaluate_chunk([spec])
+        columns, units = runner.evaluate_chunk(
+            FaultBatch.from_specs([spec], config.sites()))
+        [outcome] = columns.outcomes()
         lanes = _series(observed, "repro_kernel_fault_lanes_total")
         assert lanes == {(("kernel", "pipeline"),): 1}
         assert outcome.fault_id == spec.fault_id

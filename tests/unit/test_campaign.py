@@ -15,8 +15,10 @@ from repro.campaign import (
     RELAYED,
     CampaignConfig,
     CaptureEvent,
+    FaultBatch,
     FaultOverlay,
     FaultSpec,
+    OutcomeColumns,
     build_report,
     classify_events,
     iter_population,
@@ -217,9 +219,11 @@ class TestChunking:
         payload = campaign_chunk_task(
             {"config": config.to_params(), "start": 5, "stop": 10})
         runner = fault_runner(config)
-        direct = [runner.evaluate_chunk([spec])[0][0]
+        direct = [runner.evaluate_chunk(
+                      FaultBatch.from_specs([spec], config.sites()))[0]
                   for spec in config.population()[5:10]]
-        assert payload.value == direct
+        assert payload.value == OutcomeColumns.concat(direct,
+                                                      config.sites())
         assert payload.events_processed > 0
 
     def test_chunk_layout_independent(self):

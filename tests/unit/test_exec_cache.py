@@ -1,6 +1,9 @@
 """Unit tests for the on-disk result cache and its JSON encoding."""
 
+import dataclasses
+import hashlib
 import json
+import logging
 
 import pytest
 
@@ -9,8 +12,16 @@ from repro.analysis.experiments import (
     ResiliencePoint,
     ThroughputPoint,
 )
+from repro.campaign import CampaignConfig, run_campaign
+from repro.campaign.engine import campaign_chunk_task
+from repro.campaign.outcomes import OutcomeColumns
 from repro.errors import ConfigurationError
-from repro.exec.cache import ResultCache, decode_result, encode_result
+from repro.exec.cache import (
+    ResultCache,
+    decode_result,
+    encode_result,
+    result_checksum,
+)
 from repro.pipeline.pipeline import PipelineResult
 from repro.timing.distribution import CriticalPathDistribution
 
@@ -175,3 +186,149 @@ class TestCorruptionInjection:
         cache.put(key, _pipeline_result(), experiment="exp")
         hit, value = cache.get(key)
         assert hit and value == _pipeline_result()
+
+
+def _tagged_reference(value):
+    """The tagged encoding with one recursive call per list item — the
+    encoding every cached value had before columns passed through."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            "__dataclass__": (
+                f"{type(value).__module__}:{type(value).__qualname__}"),
+            "fields": {field.name: _tagged_reference(getattr(value,
+                                                             field.name))
+                       for field in dataclasses.fields(value)},
+        }
+    if isinstance(value, tuple):
+        return {"__tuple__": [_tagged_reference(item) for item in value]}
+    if isinstance(value, list):
+        return [_tagged_reference(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _tagged_reference(item) for key, item in value.items()}
+    return value
+
+
+def _chunk_columns() -> OutcomeColumns:
+    config = CampaignConfig(num_faults=30, num_cycles=200, seed=5)
+    return campaign_chunk_task({"config": config.to_params(),
+                                "start": 5, "stop": 30}).value
+
+
+class TestColumnEntries:
+    """Campaign chunks are one compact ``OutcomeColumns`` entry."""
+
+    def _stored(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = cache.key_for("chunk", {"start": 5}, seed=0)
+        columns = _chunk_columns()
+        cache.put(key, columns, experiment="chunk")
+        return cache, key, tmp_path / f"{key}.json", columns
+
+    def test_columns_round_trip_through_the_cache(self, tmp_path):
+        cache, key, path, columns = self._stored(tmp_path)
+        assert len(columns) == 25
+        hit, value = cache.get(key)
+        assert hit
+        assert isinstance(value, OutcomeColumns)
+        assert value == columns
+        assert value.outcomes() == columns.outcomes()
+        # Columns are stored as int lists, not one record per fault.
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        fields = entry["result"]["fields"]
+        assert fields["classification"] == columns.classification
+        assert all(isinstance(code, int)
+                   for code in fields["classification"])
+
+    def test_run_values_equal_cached_replay(self, tmp_path):
+        from repro.exec.runner import SweepRunner
+
+        config = CampaignConfig(num_faults=40, num_cycles=200,
+                                faults_per_task=15, seed=8)
+        cold = run_campaign(config, runner=SweepRunner(
+            cache=ResultCache(tmp_path)))
+        warm = run_campaign(config, runner=SweepRunner(
+            cache=ResultCache(tmp_path)))
+        assert warm.summary["cache_hits"] == 3
+        assert warm.columns == cold.columns
+        assert warm.outcomes == cold.outcomes
+        assert warm.report == cold.report
+
+    def test_truncated_column_entry_is_a_logged_deleted_miss(
+            self, tmp_path, caplog):
+        cache, key, path, _columns = self._stored(tmp_path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text[:len(text) // 2], encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="repro.exec.cache"):
+            assert cache.get(key) == (False, None)
+        assert not path.exists()
+        assert any("corrupted" in record.message
+                   for record in caplog.records)
+
+    def test_bit_flipped_column_is_a_logged_deleted_miss(
+            self, tmp_path, caplog):
+        cache, key, path, _columns = self._stored(tmp_path)
+        raw = bytearray(path.read_bytes())
+        # Flip the low bit of the last digit of the first cycle: still
+        # valid JSON, silently different data.
+        at = raw.index(b",", raw.index(b'"cycle":[')) - 1
+        raw[at] ^= 1
+        path.write_bytes(bytes(raw))
+        with caplog.at_level(logging.WARNING, logger="repro.exec.cache"):
+            assert cache.get(key) == (False, None)
+        assert not path.exists()
+        assert any("checksum mismatch" in record.message
+                   for record in caplog.records)
+
+    def test_schema_2_entry_is_a_plain_miss(self, tmp_path, caplog):
+        # The layout a schema-2 cache wrote for a campaign chunk: one
+        # tagged record per fault, under the schema-2 code version.
+        from repro import __version__
+
+        cache = ResultCache(tmp_path)
+        key = cache.key_for("chunk", {"start": 5}, seed=0)
+        encoded = encode_result(_chunk_columns().outcomes())
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({
+            "version": f"{__version__}+schema2",
+            "experiment": "chunk",
+            "result": encoded,
+            "checksum": result_checksum(encoded),
+            "meta": {},
+        }), encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="repro.exec.cache"):
+            assert cache.get(key) == (False, None)
+        assert path.exists()
+        assert not caplog.records
+
+
+class TestEncodingIsUnchanged:
+    """Column pass-through changes no value's encoded bytes."""
+
+    def _assert_same_bytes(self, value):
+        encoded = encode_result(value)
+        reference = _tagged_reference(value)
+        assert (json.dumps(encoded, sort_keys=True)
+                == json.dumps(reference, sort_keys=True))
+        canonical = json.dumps(reference, sort_keys=True,
+                               separators=(",", ":"))
+        assert result_checksum(encoded) == hashlib.sha256(
+            canonical.encode("utf-8")).hexdigest()
+        assert decode_result(encoded) == value
+
+    @pytest.mark.parametrize("sample", RESULT_SAMPLES,
+                             ids=lambda s: type(s).__name__)
+    def test_result_dataclasses(self, sample):
+        self._assert_same_bytes(sample)
+
+    def test_sweep_results(self):
+        from repro.analysis.experiments import resilience_sweep
+
+        points = resilience_sweep(techniques=("plain", "timber-ff"),
+                                  droop_amplitudes=(0.0, 0.08),
+                                  num_cycles=200)
+        self._assert_same_bytes(points)
+        self._assert_same_bytes({"rows": points, "tag": (1, "x"),
+                                 "mixed": [1, "a", None, [2.5, True]]})
+
+    def test_campaign_outcome_records(self):
+        self._assert_same_bytes(_chunk_columns().outcomes())

@@ -45,6 +45,19 @@ class TestDeriveSeed:
             assert 0 <= value < 2 ** 63
 
 
+class TestTaskPayload:
+    def test_payload_is_a_shallow_field_dict(self):
+        # The payload shares params instead of deep-copying them (a
+        # campaign task's params carry its whole config), and rebuilds
+        # the same task on the worker side.
+        task = SweepTask(experiment=ECHO, params={"nested": {"a": [1]}},
+                         index=3, seed=9, key="echo[3]")
+        payload = task.payload()
+        assert payload == dataclasses.asdict(task)
+        assert payload["params"] is task.params
+        assert SweepTask(**payload) == task
+
+
 class TestExpandGrid:
     def test_nested_loop_order(self):
         tasks = expand_grid(ECHO, {"a": (1, 2), "b": ("x", "y")})

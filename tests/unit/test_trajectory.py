@@ -1,10 +1,13 @@
-"""Unit tests for the campaign's fault-free background: shared rows and
-per-run carried state."""
+"""Unit tests for the campaign's fault-free background: the shared
+per-process lane evaluator and per-run carried state."""
 
 from repro.campaign import CampaignConfig
-from repro.campaign.engine import _background_rows, _build_graph_sim
+from repro.campaign.engine import (
+    _LaneEvaluator,
+    _build_graph_sim,
+    fault_runner,
+)
 from repro.exec.worker import WARM
-from repro.kernels.fault_batch import graph_machine
 
 
 def _config(**overrides):
@@ -14,20 +17,22 @@ def _config(**overrides):
     return CampaignConfig(**defaults)
 
 
-def _rows(config):
-    sim = _build_graph_sim(config)
-    return _background_rows(config, sim, graph_machine(sim))
-
-
 class TestTrajectoryCaching:
     def test_warm_cache_kind_trajectory(self):
+        # One lane evaluator (background rows, machine, idle check) per
+        # configuration and process: the second chunk reuses the first
+        # one's, whatever its population and chunking fields.
         config = _config(seed=12345)
-        sim = _build_graph_sim(config)
         WARM.clear()
         before = WARM.counters()
-        first = _background_rows(config, sim, graph_machine(sim))
-        second = _background_rows(config, sim, graph_machine(sim))
+        first = fault_runner(config)
+        second = fault_runner(_config(seed=12345, num_faults=99,
+                                      faults_per_task=7,
+                                      kinds=("seu", "droop"),
+                                      magnitude_range_ps=(5, 50)))
+        assert isinstance(first, _LaneEvaluator)
         assert first is second
+        assert first.rows is second.rows
         delta = WARM.delta(before, WARM.counters())
         assert delta["trajectory"] == [1, 1]
 
@@ -36,7 +41,7 @@ class TestTrajectoryCaching:
         # change is a fresh miss, never an alias of stale rows.
         base = _config(seed=4321)
         WARM.clear()
-        _rows(base)
+        fault_runner(base)
         for field, value in (("scheme", "plain"), ("num_cycles", 399),
                              ("seed", 1), ("period_ps", 1100),
                              ("checking_percent", 20.0),
@@ -45,9 +50,21 @@ class TestTrajectoryCaching:
             changed = _config(**{"seed": 4321, field: value})
             assert changed.background_params() != base.background_params()
             before = WARM.counters()
-            _rows(changed)
+            fault_runner(changed)
             delta = WARM.delta(before, WARM.counters())
             assert delta["trajectory"] == [0, 1], field
+
+    def test_key_changes_with_relay_horizon(self):
+        # The attribution horizon shapes every lane's window, so it is
+        # part of the evaluator key although the rows do not need it.
+        base = _config(seed=4321)
+        WARM.clear()
+        evaluator = fault_runner(base)
+        before = WARM.counters()
+        longer = fault_runner(_config(seed=4321, relay_horizon=9))
+        assert WARM.delta(before, WARM.counters())["trajectory"] == [0, 1]
+        assert longer is not evaluator
+        assert longer.machine.relay_horizon == 9
 
 
 class TestGraphSnapshot:
