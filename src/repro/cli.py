@@ -539,7 +539,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 # front, then the shared RunHealth status (the same fold
                 # ``monitor`` renders — see _LiveStatus).
                 line = (f"{scheme}: "
-                        f"{len(result.outcomes)}/{config.num_faults} "
+                        f"{len(result.columns)}/{config.num_faults} "
                         f"faults classified")
                 if summary.get("resumed_tasks"):
                     line += (f" ({summary['resumed_tasks']} task(s) "
