@@ -69,6 +69,18 @@ class TestRng:
                              for v in values])
         assert int(batch[0]) == mix32(*values)
 
+    @given(lanes, lanes)
+    @settings(max_examples=100, deadline=None)
+    def test_mix32_batch_continues_a_scalar_prefix(self, prefix, rest):
+        # The mixer has no finalization step: a fold resumed from the
+        # scalar state of a prefix equals the fold over all lanes.
+        arrays = [np.array([v], dtype=np.uint32) for v in rest]
+        resumed = mix32_batch(arrays, state=mix32(*prefix))
+        assert int(resumed[0]) == mix32(*prefix, *rest)
+        per_lane_state = mix32_batch(
+            arrays, state=np.array([mix32(*prefix)], dtype=np.uint32))
+        assert int(per_lane_state[0]) == mix32(*prefix, *rest)
+
     @given(lanes)
     @settings(max_examples=100, deadline=None)
     def test_uniform_and_gauss_batch_match_scalar(self, values):
