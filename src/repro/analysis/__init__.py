@@ -1,48 +1,45 @@
-"""Metrics, shared experiment runners, and table rendering."""
+"""Metrics, shared experiment runners, and table rendering.
 
-from repro.analysis.tables import format_series, format_table
-from repro.analysis.report import (
-    ReportSection,
-    collect_sections,
-    generate_report,
-)
-from repro.analysis.sensitivity import (
-    SensitivityPoint,
-    SensitivityResult,
-    overhead_sensitivity,
-)
-from repro.analysis.metrics import (
-    energy_per_work,
-    failures_per_billion_cycles,
-    masked_fraction,
-    summarize_results,
-)
-from repro.analysis.experiments import (
-    ResiliencePoint,
-    fig1_experiment,
-    fig8_experiment,
-    resilience_sweep,
-    throughput_sweep,
-    two_stage_waveform_experiment,
-)
+Each name below is imported from its submodule on first access, so a
+command that only renders a table (``repro-timber soak``) does not pay
+for importing the experiment runners and everything they import.
+"""
 
-__all__ = [
-    "format_table",
-    "format_series",
-    "ReportSection",
-    "collect_sections",
-    "generate_report",
-    "SensitivityPoint",
-    "SensitivityResult",
-    "overhead_sensitivity",
-    "energy_per_work",
-    "failures_per_billion_cycles",
-    "masked_fraction",
-    "summarize_results",
-    "ResiliencePoint",
-    "fig1_experiment",
-    "fig8_experiment",
-    "resilience_sweep",
-    "throughput_sweep",
-    "two_stage_waveform_experiment",
-]
+import importlib
+
+#: Public name -> the submodule that defines it.
+_SUBMODULES = {
+    "format_table": "tables",
+    "format_series": "tables",
+    "ReportSection": "report",
+    "collect_sections": "report",
+    "generate_report": "report",
+    "SensitivityPoint": "sensitivity",
+    "SensitivityResult": "sensitivity",
+    "overhead_sensitivity": "sensitivity",
+    "energy_per_work": "metrics",
+    "failures_per_billion_cycles": "metrics",
+    "masked_fraction": "metrics",
+    "summarize_results": "metrics",
+    "ResiliencePoint": "experiments",
+    "fig1_experiment": "experiments",
+    "fig8_experiment": "experiments",
+    "resilience_sweep": "experiments",
+    "throughput_sweep": "experiments",
+    "two_stage_waveform_experiment": "experiments",
+}
+
+
+def __getattr__(name: str):
+    try:
+        submodule = _SUBMODULES[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{submodule}"),
+                    name)
+    globals()[name] = value
+    return value
+
+
+__all__ = list(_SUBMODULES)
